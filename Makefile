@@ -67,7 +67,7 @@ frontend:
 # then the machine-readable cluster-ladder record.
 cluster:
 	$(GO) test -run 'TestCluster' -count=1 ./internal/cluster/
-	$(GO) test -race -run 'TestClusterChaosSoak|TestClusterRoutingDeterminism' -count=1 ./internal/cluster/
+	$(GO) test -race -run 'TestClusterChaosSoak|TestClusterRoutingDeterminism|TestClusterFlushMatchesSequential' -count=1 ./internal/cluster/
 	$(GO) run ./cmd/pimbench cluster -out results/BENCH_cluster.json
 
 # Live-rebalancing verification: the migration/policy/lifecycle suites and

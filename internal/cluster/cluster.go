@@ -17,8 +17,10 @@
 // module routing that uses hash(k) directly. Batches scatter into
 // per-shard sub-batches with one stable counting sort (the reply-assembly
 // idiom of internal/pim/reliable.go), execute shards in parallel, and
-// gather replies back into the caller's submission order. See
-// docs/CLUSTER.md and docs/REBALANCE.md.
+// gather replies back into the caller's submission order. A coalesced
+// flush's Upsert, Delete, Get and Successor sub-batches share one such
+// scatter/gather (TryFlush), each shard running its share of them back to
+// back. See docs/CLUSTER.md and docs/REBALANCE.md.
 package cluster
 
 import (
@@ -129,9 +131,13 @@ type Config struct {
 	// DisableRecovery turns every shard kill into an immediate transition
 	// to ShardDown (degraded mode), instead of a journal rebuild.
 	DisableRecovery bool
-	// CompactEvery checkpoints a shard's journal into a fresh base snapshot
-	// every that-many journaled batches. 0 selects 64; negative disables
-	// compaction (the journal grows without bound).
+	// CompactEvery sets when a shard checkpoints its journal into a fresh
+	// base snapshot. 0, the default, checkpoints once the ops journaled
+	// since the last checkpoint reach the base snapshot's key count (at
+	// least 4096), which bounds a rebuild's replay to about one base's worth
+	// of ops. A positive value checkpoints every that-many journaled batches
+	// instead; negative disables checkpoints (the journal grows without
+	// bound).
 	CompactEvery int
 }
 
@@ -214,15 +220,84 @@ type Cluster[K cmp.Ordered, V any] struct {
 	ws clusterWS[K, V]
 }
 
-// clusterWS is the scatter workspace, reused across batches so the
-// steady-state routing path allocates only for growth.
+// Flush positions: the order in which one shard runs a flush's sub-batches
+// (writes before reads). The first three are routed point kinds; the last
+// is the Successor broadcast.
+const (
+	posUpsert = iota
+	posDelete
+	posGet
+	posSucc
+	flushKinds
+)
+
+// posKind is the shard batch kind run at each flush position.
+var posKind = [flushKinds]batchKind{opUpsert, opDelete, opGet, opSucc}
+
+// clusterWS is one call's workspace, reused across calls so the
+// steady-state path allocates only for growth: the routing of each point
+// sub-batch, the broadcast keys, and each shard's queued sub-batches with
+// their reply buffers.
 type clusterWS[K cmp.Ordered, V any] struct {
+	pt   [posSucc]scatter[K, V] // indexed by point position
+	succ []K                    // Successor broadcast keys
+	work []shardWork[K, V]      // indexed by shard id
+}
+
+// scatter is one point sub-batch routed shard-major.
+type scatter[K cmp.Ordered, V any] struct {
 	home   []int // shard of keys[i]
-	counts []int // per-shard sub-batch sizes, then prefix-summed starts
-	starts []int
+	counts []int // per-shard sub-batch sizes
+	starts []int // per-shard start offsets into keys
 	order  []int // submission index in scatter position
 	keys   []K   // keys permuted shard-major
 	vals   []V
+}
+
+// shardWork is one shard's share of a cluster call: a sub-batch per flush
+// position (queued marks the ones it received) and the shard's reply to
+// each. The reply slices persist across calls, so the shard's Map writes
+// its results into reused buffers.
+type shardWork[K cmp.Ordered, V any] struct {
+	queued [flushKinds]bool
+	b      [flushKinds]shardBatch[K, V]
+	rep    [flushKinds]shardReply[K, V]
+}
+
+// runAll runs the queued sub-batches back to back in position order.
+func (w *shardWork[K, V]) runAll(s *shard[K, V]) {
+	for k := range w.b {
+		if w.queued[k] {
+			s.run(&w.b[k], &w.rep[k])
+		}
+	}
+}
+
+// Flush is one coalesced flush for Cluster.TryFlush: an Upsert, a Delete, a
+// Get and a Successor sub-batch, any of which may be empty, plus the reply
+// buffers TryFlush fills. The replies are caller-owned: each is resized in
+// place to its sub-batch's length, so a caller that keeps one Flush across
+// calls allocates nothing for replies in steady state.
+type Flush[K cmp.Ordered, V any] struct {
+	// UpsertKeys and UpsertVals pair positionally and must have equal
+	// lengths.
+	UpsertKeys []K
+	UpsertVals []V
+	DeleteKeys []K
+	GetKeys    []K
+	SuccKeys   []K
+
+	// Upserted, Deleted, Gets and Succs are positional with their
+	// sub-batch's keys: the results TryUpsert, TryDelete, TryGet and
+	// TrySuccessor return.
+	Upserted []bool
+	Deleted  []bool
+	Gets     []core.GetResult[V]
+	Succs    []core.SearchResult[K, V]
+	// The per-key error surfaces, each as the matching Try* method returns
+	// it: nil when every shard served the sub-batch; otherwise a typed error
+	// at each failed position, whose result is zero.
+	UpsertErrs, DeleteErrs, GetErrs, SuccErrs []error
 }
 
 // New builds a cluster per cfg. hash is the key hasher shared by the router
@@ -247,9 +322,6 @@ func New[K cmp.Ordered, V any](cfg Config, hash func(K) uint64) (*Cluster[K, V],
 	}
 	if cfg.MaxRecoveries == 0 {
 		cfg.MaxRecoveries = 3
-	}
-	if cfg.CompactEvery == 0 {
-		cfg.CompactEvery = 64
 	}
 	if cfg.Slots == 0 {
 		cfg.Slots = max(256, cfg.Shards)
@@ -358,269 +430,320 @@ func (c *Cluster[K, V]) begin() error {
 
 func (c *Cluster[K, V]) end() { c.inBatch.Store(false) }
 
-// scatterInto routes keys (and vals, when non-nil) into shard-major,
-// submission-order-within-shard position using one stable counting sort —
-// the reply-assembly idiom of the reliable transport. After scatter,
-// ws.starts[s]..starts[s]+counts[s] is shard s's sub-batch and ws.order[j]
-// is the submission index occupying scatter position j, which gather uses
-// to put replies back into the caller's order.
-//
-// The workspace is explicit: serial batches use the cluster's own ws, while
-// the pipeline scatters into its second workspace whilst an earlier batch's
-// shards are still executing (pipeline.go). Routing within an epoch is a
-// pure function of (hash, Seed, table) — it reads no shard state — and the
-// epoch cannot change while the gate is held (migrations need the gate to
-// publish), which is what makes that overlap legal.
-func (c *Cluster[K, V]) scatterInto(ws *clusterWS[K, V], keys []K, vals []V) {
-	v := c.view.load()
+// scatterInto routes one point sub-batch's keys (and vals, when non-nil)
+// into shard-major, submission-order-within-shard position using one
+// stable counting sort — the reply-assembly idiom of the reliable
+// transport. After scatter, sc.starts[s]..starts[s]+counts[s] is shard s's
+// sub-batch and sc.order[j] is the submission index occupying scatter
+// position j, which gather uses to put replies back into the caller's order.
+func (c *Cluster[K, V]) scatterInto(sc *scatter[K, V], v *epochView[K, V], keys []K, vals []V) {
 	n := len(keys)
 	ns := len(v.shards)
-	ws.home = resize(ws.home, n)
-	ws.order = resize(ws.order, n)
-	ws.keys = resize(ws.keys, n)
-	ws.counts = resize(ws.counts, ns)
-	ws.starts = resize(ws.starts, ns)
+	sc.home = resize(sc.home, n)
+	sc.order = resize(sc.order, n)
+	sc.keys = resize(sc.keys, n)
+	sc.counts = resize(sc.counts, ns)
+	sc.starts = resize(sc.starts, ns)
 	if vals != nil {
-		ws.vals = resize(ws.vals, n)
+		sc.vals = resize(sc.vals, n)
 	}
-	for i := range ws.counts {
-		ws.counts[i] = 0
-	}
+	clear(sc.counts)
 	for i, k := range keys {
 		h := int(v.slots[c.slotOf(k, len(v.slots))])
-		ws.home[i] = h
-		ws.counts[h]++
+		sc.home[i] = h
+		sc.counts[h]++
 	}
 	sum := 0
 	for s := 0; s < ns; s++ {
-		ws.starts[s] = sum
-		sum += ws.counts[s]
-		ws.counts[s] = ws.starts[s] // reuse as running cursor
+		sc.starts[s] = sum
+		sum += sc.counts[s]
+		sc.counts[s] = sc.starts[s] // reuse as running cursor
 	}
 	for i, k := range keys {
-		j := ws.counts[ws.home[i]]
-		ws.counts[ws.home[i]]++
-		ws.order[j] = i
-		ws.keys[j] = k
+		j := sc.counts[sc.home[i]]
+		sc.counts[sc.home[i]]++
+		sc.order[j] = i
+		sc.keys[j] = k
 		if vals != nil {
-			ws.vals[j] = vals[i]
+			sc.vals[j] = vals[i]
 		}
 	}
 	// Restore counts to sub-batch sizes.
 	for s := 0; s < ns; s++ {
-		ws.counts[s] -= ws.starts[s]
+		sc.counts[s] -= sc.starts[s]
 	}
 }
 
-// resize returns s with length n, reusing capacity.
+// scatterFlush routes f's point sub-batches into ws and records its
+// Successor keys. The workspace is explicit: serial calls use the
+// cluster's own ws, while the pipeline scatters into its second workspace
+// whilst an earlier batch's shards are still executing (pipeline.go).
+// Routing within an epoch is a pure function of (hash, Seed, table) — it
+// reads no shard state — and the epoch cannot change while the gate is
+// held (migrations need the gate to publish), which is what makes that
+// overlap legal.
+func (c *Cluster[K, V]) scatterFlush(ws *clusterWS[K, V], f *Flush[K, V]) {
+	v := c.view.load()
+	c.scatterInto(&ws.pt[posUpsert], v, f.UpsertKeys, f.UpsertVals)
+	c.scatterInto(&ws.pt[posDelete], v, f.DeleteKeys, nil)
+	c.scatterInto(&ws.pt[posGet], v, f.GetKeys, nil)
+	ws.succ = f.SuccKeys
+}
+
+// resize returns s with length n, reusing capacity. A nil s comes back
+// non-nil, so an empty reply is an empty slice.
 func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
+	if s == nil || cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// runShards executes one sub-batch per shard in parallel and returns the
-// per-shard replies. Shards with a nil batch are skipped (they received no
-// work and charge nothing). Assembly is by shard index, so the result is
-// deterministic regardless of goroutine scheduling.
-func (c *Cluster[K, V]) runShards(batches []*shardBatch[K, V]) []shardReply[K, V] {
-	shards := c.view.load().shards
-	reps := make([]shardReply[K, V], len(shards))
+// resetWork readies ws's per-shard work for a call in epoch v: nothing
+// queued, reply buffers kept.
+func resetWork[K cmp.Ordered, V any](ws *clusterWS[K, V], v *epochView[K, V]) []shardWork[K, V] {
+	ws.work = resize(ws.work, len(v.shards))
+	for s := range ws.work {
+		ws.work[s].queued = [flushKinds]bool{}
+	}
+	return ws.work
+}
+
+// runShards runs every shard's queued sub-batches, shards in parallel: one
+// goroutine per shard with work, the calling goroutine driving the last.
+// Each shard's replies land in its own work slots, so assembly is by shard
+// index and deterministic regardless of goroutine scheduling.
+func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V]) {
 	var wg sync.WaitGroup
-	for i, b := range batches {
-		if b == nil {
+	last := -1
+	for s := range work {
+		if work[s].queued == [flushKinds]bool{} {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, b *shardBatch[K, V]) {
-			defer wg.Done()
-			reps[i] = shards[i].run(b)
-		}(i, b)
+		if last >= 0 {
+			wg.Add(1)
+			go func(w *shardWork[K, V], sh *shard[K, V]) {
+				defer wg.Done()
+				w.runAll(sh)
+			}(&work[last], v.shards[last])
+		}
+		last = s
+	}
+	if last >= 0 {
+		work[last].runAll(v.shards[last])
 	}
 	wg.Wait()
-	return reps
 }
 
-// pointBatchesWS slices the scattered workspace into one shardBatch per
-// non-empty shard. withVals selects whether the permuted vals ride along.
-// Mutating kinds draw one cluster-wide commit sequence number, shared by
-// every shard's sub-batch (see Cluster.mutSeq).
-func (c *Cluster[K, V]) pointBatchesWS(ws *clusterWS[K, V], kind batchKind, withVals bool) []*shardBatch[K, V] {
-	ns := len(ws.counts)
-	var seq int64
-	if kind.mutates() {
-		c.mutSeq++
-		seq = c.mutSeq
-	}
-	batches := make([]*shardBatch[K, V], ns)
-	for s := 0; s < ns; s++ {
-		if ws.counts[s] == 0 {
+// runFlush executes a scattered flush and gathers its replies into f. Each
+// shard's goroutine runs that shard's sub-batches back to back in position
+// order, so writes precede reads without a cross-shard barrier: shards own
+// disjoint keys, and a shard's Successor partial reads only that shard,
+// after that shard's writes. Each non-empty mutating sub-batch draws one
+// cluster-wide commit sequence number, Upsert before Delete, shared by
+// every shard's share of it (see Cluster.mutSeq) — the draws TryUpsert then
+// TryDelete make.
+func (c *Cluster[K, V]) runFlush(ws *clusterWS[K, V], f *Flush[K, V]) Stats {
+	v := c.view.load()
+	work := resetWork(ws, v)
+	batch := len(ws.succ)
+	for k := range ws.pt {
+		sc := &ws.pt[k]
+		if len(sc.keys) == 0 {
 			continue
 		}
-		lo, hi := ws.starts[s], ws.starts[s]+ws.counts[s]
-		b := &shardBatch[K, V]{kind: kind, seq: seq, keys: ws.keys[lo:hi]}
-		if withVals {
-			b.vals = ws.vals[lo:hi]
+		batch += len(sc.keys)
+		b := shardBatch[K, V]{kind: posKind[k]}
+		if b.kind.mutates() {
+			c.mutSeq++
+			b.seq = c.mutSeq
 		}
-		batches[s] = b
+		for s, cnt := range sc.counts {
+			if cnt == 0 {
+				continue
+			}
+			lo, hi := sc.starts[s], sc.starts[s]+cnt
+			b.keys = sc.keys[lo:hi]
+			if k == posUpsert {
+				b.vals = sc.vals[lo:hi]
+			}
+			work[s].queued[k], work[s].b[k] = true, b
+		}
 	}
-	return batches
+	if len(ws.succ) > 0 {
+		for s := range work {
+			if v.owned[s] == 0 {
+				continue // retired: owns no keys, cannot hold any answer
+			}
+			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: ws.succ}
+		}
+	}
+	c.runShards(v, work)
+
+	bools := func(r *shardReply[K, V]) []bool { return r.bools }
+	f.Upserted, f.UpsertErrs = gatherPoint(&ws.pt[posUpsert], work, posUpsert, f.Upserted, bools)
+	f.Deleted, f.DeleteErrs = gatherPoint(&ws.pt[posDelete], work, posDelete, f.Deleted, bools)
+	f.Gets, f.GetErrs = gatherPoint(&ws.pt[posGet], work, posGet, f.Gets,
+		func(r *shardReply[K, V]) []core.GetResult[V] { return r.gets })
+	f.Succs, f.SuccErrs = gatherSucc(work, len(ws.succ), f.Succs)
+	ws.succ = nil // release the caller's keys
+	return c.finish(batch, work)
 }
 
-// finish assembles the cluster Stats from per-shard replies and releases
-// the batch gate. It returns the first non-shard-level error (a concurrent
-// batch, a closed cluster — failures of the whole call, not of one shard).
-func (c *Cluster[K, V]) finish(batch int, reps []shardReply[K, V]) Stats {
-	st := Stats{Batch: batch, Shards: make([]core.BatchStats, len(reps))}
-	for i := range reps {
-		st.Shards[i] = reps[i].st
-		st.Recovered += reps[i].recovered
-	}
-	return st
-}
-
-// TryGet looks every key up, scattering by shard. res[i] corresponds to
-// keys[i]. errs is nil when every shard served; otherwise errs[i] is nil
-// for served keys and a typed error (ErrShardDown, ...) for keys owned by
-// a failed shard — the degraded-mode surface: a down shard fails its own
-// keys, never the whole batch.
-func (c *Cluster[K, V]) TryGet(keys []K) (res []core.GetResult[V], errs []error, st Stats, err error) {
-	if err := c.begin(); err != nil {
-		return nil, nil, Stats{}, err
-	}
-	defer c.end()
-	c.scatterInto(&c.ws, keys, nil)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opGet, false))
-	res = make([]core.GetResult[V], len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
-		res[i] = reps[s].gets[j]
-	})
-	return res, errs, c.finish(len(keys), reps), nil
-}
-
-// TryUpsert inserts or overwrites every pair. res[i] reports whether
-// keys[i] was newly inserted. Error surface as TryGet.
-func (c *Cluster[K, V]) TryUpsert(keys []K, vals []V) (res []bool, errs []error, st Stats, err error) {
-	if len(keys) != len(vals) {
-		return nil, nil, Stats{}, fmt.Errorf("%w: Upsert keys/vals length mismatch (%d vs %d)",
-			core.ErrBadBatch, len(keys), len(vals))
-	}
-	if err := c.begin(); err != nil {
-		return nil, nil, Stats{}, err
-	}
-	defer c.end()
-	c.scatterInto(&c.ws, keys, vals)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opUpsert, true))
-	res = make([]bool, len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
-		res[i] = reps[s].bools[j]
-	})
-	return res, errs, c.finish(len(keys), reps), nil
-}
-
-// TryDelete removes every key. res[i] reports whether keys[i] was present.
-// Error surface as TryGet.
-func (c *Cluster[K, V]) TryDelete(keys []K) (res []bool, errs []error, st Stats, err error) {
-	if err := c.begin(); err != nil {
-		return nil, nil, Stats{}, err
-	}
-	defer c.end()
-	c.scatterInto(&c.ws, keys, nil)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opDelete, false))
-	res = make([]bool, len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
-		res[i] = reps[s].bools[j]
-	})
-	return res, errs, c.finish(len(keys), reps), nil
-}
-
-// gatherPoint walks the scattered order permutation and invokes set(j, i, s)
-// for each position j of shard s holding submission index i, building the
-// per-key error slice along the way (nil when no shard failed).
-func (c *Cluster[K, V]) gatherPointWS(ws *clusterWS[K, V], n int, reps []shardReply[K, V], set func(j, i, s int)) []error {
+// gatherPoint unscatters one point sub-batch's per-shard replies into dst,
+// resized to the sub-batch's length, in the caller's order. errs is nil
+// when every shard served; otherwise each position of a failed shard
+// carries its error and a zero result — the degraded-mode surface: a down
+// shard fails its own keys, never the whole batch.
+func gatherPoint[K cmp.Ordered, V any, T any](sc *scatter[K, V], work []shardWork[K, V], pos int, dst []T, replies func(*shardReply[K, V]) []T) ([]T, []error) {
+	dst = resize(dst, len(sc.order))
 	var errs []error
-	anyErr := false
-	for _, rep := range reps {
-		if rep.err != nil {
-			anyErr = true
-			break
-		}
-	}
-	if anyErr {
-		errs = make([]error, n)
-	}
-	for s := range ws.counts {
-		lo, cnt := ws.starts[s], ws.counts[s]
+	var zero T
+	for s, cnt := range sc.counts {
 		if cnt == 0 {
 			continue
 		}
-		if reps[s].err != nil {
-			for j := 0; j < cnt; j++ {
-				errs[ws.order[lo+j]] = reps[s].err
+		lo, rep := sc.starts[s], &work[s].rep[pos]
+		if rep.err != nil {
+			if errs == nil {
+				errs = make([]error, len(dst))
+			}
+			for _, i := range sc.order[lo : lo+cnt] {
+				errs[i] = rep.err
+				dst[i] = zero
 			}
 			continue
 		}
-		for j := 0; j < cnt; j++ {
-			set(j, ws.order[lo+j], s)
+		for j, r := range replies(rep)[:cnt] {
+			dst[sc.order[lo+j]] = r
 		}
 	}
-	return errs
+	return dst, errs
 }
 
-// TrySuccessor finds, for each key, the smallest key ≥ it anywhere in the
-// cluster. Keys are hash-routed, so every shard may hold the answer: the
-// query broadcasts to all shards and gathers by minimum found key. If any
-// shard is down the whole query is unanswerable — every errs[i] carries
-// that shard's error and res is zero.
-func (c *Cluster[K, V]) TrySuccessor(keys []K) (res []core.SearchResult[K, V], errs []error, st Stats, err error) {
-	if err := c.begin(); err != nil {
-		return nil, nil, Stats{}, err
+// gatherSucc combines the Successor broadcast's per-shard partials into
+// dst, resized to n: for each key, the smallest successor any shard found.
+// If any shard failed, the whole query is unanswerable (any down shard
+// could hold the answer): every position carries that shard's error and a
+// zero result.
+func gatherSucc[K cmp.Ordered, V any](work []shardWork[K, V], n int, dst []core.SearchResult[K, V]) ([]core.SearchResult[K, V], []error) {
+	dst = resize(dst, n)
+	clear(dst)
+	if n == 0 {
+		return dst, nil
 	}
-	defer c.end()
-	v := c.view.load()
-	batches := make([]*shardBatch[K, V], len(v.shards))
-	for s := range v.shards {
-		if v.owned[s] == 0 {
-			continue // retired: owns no keys, cannot hold any answer
+	if errs := broadcastErrs(work, posSucc, n); errs != nil {
+		return dst, errs
+	}
+	for s := range work {
+		if !work[s].queued[posSucc] {
+			continue // retired shard, skipped by the broadcast
 		}
-		batches[s] = &shardBatch[K, V]{kind: opSucc, keys: keys}
-	}
-	reps := c.runShards(batches)
-	res = make([]core.SearchResult[K, V], len(keys))
-	if errs = c.broadcastErrs(len(keys), reps); errs == nil {
-		for i := range keys {
-			best := core.SearchResult[K, V]{}
-			for s := range reps {
-				if reps[s].succs == nil {
-					continue // retired shard, skipped above
-				}
-				r := reps[s].succs[i]
-				if r.Found && (!best.Found || r.Key < best.Key) {
-					best = r
-				}
+		for i, r := range work[s].rep[posSucc].succs[:n] {
+			if r.Found && (!dst[i].Found || r.Key < dst[i].Key) {
+				dst[i] = r
 			}
-			res[i] = best
 		}
 	}
-	return res, errs, c.finish(len(keys), reps), nil
+	return dst, nil
 }
 
 // broadcastErrs builds the all-or-nothing error surface of broadcast
 // queries: nil when every shard answered, else every position carries the
 // first failed shard's error.
-func (c *Cluster[K, V]) broadcastErrs(n int, reps []shardReply[K, V]) []error {
-	for s := range reps {
-		if reps[s].err != nil {
+func broadcastErrs[K cmp.Ordered, V any](work []shardWork[K, V], pos, n int) []error {
+	for s := range work {
+		if err := work[s].rep[pos].err; work[s].queued[pos] && err != nil {
 			errs := make([]error, n)
 			for i := range errs {
-				errs[i] = reps[s].err
+				errs[i] = err
 			}
 			return errs
 		}
 	}
 	return nil
 }
+
+// finish assembles the call's Stats: each shard's cost summed over the
+// sub-batches it ran.
+func (c *Cluster[K, V]) finish(batch int, work []shardWork[K, V]) Stats {
+	st := Stats{Batch: batch, Shards: make([]core.BatchStats, len(work))}
+	for s := range work {
+		for k := range work[s].rep {
+			if work[s].queued[k] {
+				st.Shards[s].Accumulate(work[s].rep[k].st)
+				st.Recovered += work[s].rep[k].recovered
+			}
+		}
+	}
+	return st
+}
+
+// TryFlush runs one coalesced flush — its Upsert, Delete, Get and
+// Successor sub-batches — in a single scatter/gather. Replies, per-key
+// errors and every shard's state and costs are identical to calling
+// TryUpsert, TryDelete, TryGet and TrySuccessor in that order: each shard
+// runs its share of the four back to back, writes before reads, through
+// the same supervisor (journal, recovery, lifecycle states). st sums each
+// shard's cost over the whole flush. err reports a failure of the whole
+// call (ErrClosed, ErrConcurrentBatch, ErrBadBatch), which happens before
+// any shard work.
+func (c *Cluster[K, V]) TryFlush(f *Flush[K, V]) (st Stats, err error) {
+	if len(f.UpsertKeys) != len(f.UpsertVals) {
+		return Stats{}, fmt.Errorf("%w: Upsert keys/vals length mismatch (%d vs %d)",
+			core.ErrBadBatch, len(f.UpsertKeys), len(f.UpsertVals))
+	}
+	if err := c.begin(); err != nil {
+		return Stats{}, err
+	}
+	defer c.end()
+	c.scatterFlush(&c.ws, f)
+	return c.runFlush(&c.ws, f), nil
+}
+
+// TryGet looks every key up: TryFlush with only a Get sub-batch. res[i]
+// corresponds to keys[i]. errs is nil when every shard served; otherwise
+// errs[i] is nil for served keys and a typed error (ErrShardDown, ...) for
+// keys owned by a failed shard — the degraded-mode surface: a down shard
+// fails its own keys, never the whole batch.
+func (c *Cluster[K, V]) TryGet(keys []K) (res []core.GetResult[V], errs []error, st Stats, err error) {
+	f := Flush[K, V]{GetKeys: keys}
+	st, err = c.TryFlush(&f)
+	return f.Gets, f.GetErrs, st, err
+}
+
+// TryUpsert inserts or overwrites every pair: TryFlush with only an Upsert
+// sub-batch. res[i] reports whether keys[i] was newly inserted. Error
+// surface as TryGet.
+func (c *Cluster[K, V]) TryUpsert(keys []K, vals []V) (res []bool, errs []error, st Stats, err error) {
+	f := Flush[K, V]{UpsertKeys: keys, UpsertVals: vals}
+	st, err = c.TryFlush(&f)
+	return f.Upserted, f.UpsertErrs, st, err
+}
+
+// TryDelete removes every key: TryFlush with only a Delete sub-batch.
+// res[i] reports whether keys[i] was present. Error surface as TryGet.
+func (c *Cluster[K, V]) TryDelete(keys []K) (res []bool, errs []error, st Stats, err error) {
+	f := Flush[K, V]{DeleteKeys: keys}
+	st, err = c.TryFlush(&f)
+	return f.Deleted, f.DeleteErrs, st, err
+}
+
+// TrySuccessor finds, for each key, the smallest key ≥ it anywhere in the
+// cluster: TryFlush with only a Successor sub-batch. Keys are hash-routed,
+// so every shard may hold the answer: the query broadcasts to all shards
+// and gathers by minimum found key. If any shard is down the whole query
+// is unanswerable — every errs[i] carries that shard's error and res is
+// zero.
+func (c *Cluster[K, V]) TrySuccessor(keys []K) (res []core.SearchResult[K, V], errs []error, st Stats, err error) {
+	f := Flush[K, V]{SuccKeys: keys}
+	st, err = c.TryFlush(&f)
+	return f.Succs, f.SuccErrs, st, err
+}
+
+// posRange is the work slot a range batch occupies: it is its shard's only
+// sub-batch of the call.
+const posRange = 0
 
 // TryRangeOperation executes a batch of range operations cluster-wide.
 // Ranges span shards (routing is by hash, not by interval), so each op
@@ -635,45 +758,47 @@ func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.
 	}
 	defer c.end()
 	v := c.view.load()
+	work := resetWork(&c.ws, v)
 	c.mutSeq++ // the batch may carry transforms; one commit seq covers it
-	batches := make([]*shardBatch[K, V], len(v.shards))
-	for s := range v.shards {
+	for s := range work {
 		if v.owned[s] == 0 {
 			continue // retired: owns no keys, nothing to scan or transform
 		}
-		batches[s] = &shardBatch[K, V]{kind: opRange, seq: c.mutSeq, rops: ops}
+		work[s].queued[posRange], work[s].b[posRange] = true, shardBatch[K, V]{kind: opRange, seq: c.mutSeq, rops: ops}
 	}
-	reps := c.runShards(batches)
+	c.runShards(v, work)
 	res = make([]core.RangeResult[K, V], len(ops))
-	if errs = c.broadcastErrs(len(ops), reps); errs == nil {
+	if errs = broadcastErrs(work, posRange, len(ops)); errs == nil {
 		for i := range ops {
-			res[i] = c.mergeRange(ops[i], reps, i)
+			res[i] = c.mergeRange(ops[i], work, i)
 		}
 	}
-	return res, errs, c.finish(len(ops), reps), nil
+	for s := range work {
+		work[s].rep[posRange].ranges = nil // merged; don't pin the partials
+	}
+	return res, errs, c.finish(len(ops), work), nil
 }
 
 // mergeRange combines one op's per-shard partial results.
-func (c *Cluster[K, V]) mergeRange(op core.RangeOp[K, V], reps []shardReply[K, V], i int) core.RangeResult[K, V] {
+func (c *Cluster[K, V]) mergeRange(op core.RangeOp[K, V], work []shardWork[K, V], i int) core.RangeResult[K, V] {
 	out := core.RangeResult[K, V]{}
 	if op.Kind == core.RangeReduce {
 		out.Reduced = op.Init
 	}
 	total := 0
-	for s := range reps {
-		if reps[s].ranges == nil {
-			continue
+	for s := range work {
+		if work[s].queued[posRange] {
+			total += len(work[s].rep[posRange].ranges[i].Pairs)
 		}
-		total += len(reps[s].ranges[i].Pairs)
 	}
 	if total > 0 {
 		out.Pairs = make([]core.RangePair[K, V], 0, total)
 	}
-	for s := range reps {
-		if reps[s].ranges == nil {
+	for s := range work {
+		if !work[s].queued[posRange] {
 			continue // retired shard, skipped by the broadcast
 		}
-		r := reps[s].ranges[i]
+		r := work[s].rep[posRange].ranges[i]
 		out.Count += r.Count
 		out.Pairs = append(out.Pairs, r.Pairs...)
 		if op.Kind == core.RangeReduce {

@@ -31,13 +31,13 @@ const (
 )
 
 // clusterSlot is one of the pipeline's two scatter workspaces plus the
-// batch prepped on it. Broadcast batches (Successor) copy the keys into the
-// workspace so the caller's slice is released at Submit return, like the
+// batch prepped on it. Broadcast batches (Successor) copy the keys into
+// succ so the caller's slice is released at Submit return, like the
 // scattered point ops.
 type clusterSlot[K cmp.Ordered, V any] struct {
 	ws   *clusterWS[K, V]
+	succ []K
 	kind clusterPipeKind
-	n    int
 	tk   *ClusterTicket[K, V]
 }
 
@@ -130,15 +130,22 @@ func (p *ClusterPipeline[K, V]) submit(kind clusterPipeKind, keys []K, vals []V)
 			core.ErrBadBatch, len(keys), len(vals)))
 	}
 	slot := <-p.free
-	slot.kind, slot.n, slot.tk = kind, len(keys), tk
-	if kind == cpSucc {
+	slot.kind, slot.tk = kind, tk
+	var f Flush[K, V] // one sub-batch: the serial Try* call's flush
+	switch kind {
+	case cpGet:
+		f.GetKeys = keys
+	case cpUpsert:
+		f.UpsertKeys, f.UpsertVals = keys, vals
+	case cpDelete:
+		f.DeleteKeys = keys
+	case cpSucc:
 		// Broadcast: no routing, but copy the keys so the caller's slice is
 		// not aliased by the in-flight batch.
-		slot.ws.keys = resize(slot.ws.keys, len(keys))
-		copy(slot.ws.keys, keys)
-	} else {
-		p.c.scatterInto(slot.ws, keys, vals)
+		slot.succ = append(slot.succ[:0], keys...)
+		f.SuccKeys = slot.succ
 	}
+	p.c.scatterFlush(slot.ws, &f)
 	p.jobs <- slot
 	return tk
 }
@@ -201,63 +208,22 @@ func (p *ClusterPipeline[K, V]) run() {
 	close(p.done)
 }
 
-// runJob executes one scattered batch against the shards, exactly as the
-// serial entry point would: parallel shard fan-out, gather in shard-id
-// order, per-key error surface, Stats assembly.
+// runJob executes one scattered batch against the shards through the
+// serial path's own run-and-gather (Cluster.runFlush), so results, per-key
+// errors and Stats are the serial entry point's. The replies land in a
+// fresh Flush, whose buffers the ticket hands to the caller.
 func (p *ClusterPipeline[K, V]) runJob(slot *clusterSlot[K, V]) ClusterPipeResult[K, V] {
-	c := p.c
-	ws := slot.ws
-	n := slot.n
-	var res ClusterPipeResult[K, V]
+	var f Flush[K, V]
+	res := ClusterPipeResult[K, V]{Stats: p.c.runFlush(slot.ws, &f)}
 	switch slot.kind {
 	case cpGet:
-		reps := c.runShards(c.pointBatchesWS(ws, opGet, false))
-		res.Gets = make([]core.GetResult[V], n)
-		res.Errs = c.gatherPointWS(ws, n, reps, func(j, i, s int) {
-			res.Gets[i] = reps[s].gets[j]
-		})
-		res.Stats = c.finish(n, reps)
+		res.Gets, res.Errs = f.Gets, f.GetErrs
 	case cpUpsert:
-		reps := c.runShards(c.pointBatchesWS(ws, opUpsert, true))
-		res.Bools = make([]bool, n)
-		res.Errs = c.gatherPointWS(ws, n, reps, func(j, i, s int) {
-			res.Bools[i] = reps[s].bools[j]
-		})
-		res.Stats = c.finish(n, reps)
+		res.Bools, res.Errs = f.Upserted, f.UpsertErrs
 	case cpDelete:
-		reps := c.runShards(c.pointBatchesWS(ws, opDelete, false))
-		res.Bools = make([]bool, n)
-		res.Errs = c.gatherPointWS(ws, n, reps, func(j, i, s int) {
-			res.Bools[i] = reps[s].bools[j]
-		})
-		res.Stats = c.finish(n, reps)
+		res.Bools, res.Errs = f.Deleted, f.DeleteErrs
 	case cpSucc:
-		v := c.view.load()
-		batches := make([]*shardBatch[K, V], len(v.shards))
-		for s := range v.shards {
-			if v.owned[s] == 0 {
-				continue // retired: owns no keys, cannot hold any answer
-			}
-			batches[s] = &shardBatch[K, V]{kind: opSucc, keys: ws.keys[:n]}
-		}
-		reps := c.runShards(batches)
-		res.Searches = make([]core.SearchResult[K, V], n)
-		if res.Errs = c.broadcastErrs(n, reps); res.Errs == nil {
-			for i := 0; i < n; i++ {
-				best := core.SearchResult[K, V]{}
-				for s := range reps {
-					if reps[s].succs == nil {
-						continue // retired shard, skipped above
-					}
-					r := reps[s].succs[i]
-					if r.Found && (!best.Found || r.Key < best.Key) {
-						best = r
-					}
-				}
-				res.Searches[i] = best
-			}
-		}
-		res.Stats = c.finish(n, reps)
+		res.Searches, res.Errs = f.Succs, f.SuccErrs
 	}
 	return res
 }

@@ -43,10 +43,11 @@ type shardBatch[K cmp.Ordered, V any] struct {
 	rops []core.RangeOp[K, V]
 }
 
-// shardReply is one shard's answer: exactly one result slice is populated
-// (by kind), plus the shard's accumulated cost for the batch — including
-// failed attempts, rebuilds, replays and checkpoints, all charged honestly
-// to the batch that triggered them.
+// shardReply is one shard's answer: the result slice of the batch's kind,
+// plus the shard's accumulated cost for the batch — including failed
+// attempts, rebuilds, replays and checkpoints, all charged honestly to the
+// batch that triggered them. A reply lives in the caller's workspace
+// across calls, so its point-op result slices are reused buffers.
 type shardReply[K cmp.Ordered, V any] struct {
 	bools  []bool
 	gets   []core.GetResult[V]
@@ -83,6 +84,10 @@ type logEntry[K cmp.Ordered, V any] struct {
 	ops  []core.RangeOp[K, V]
 }
 
+// size is the entry's op count: keys for a point entry, ops for a
+// transform entry.
+func (e *logEntry[K, V]) size() int { return len(e.keys) + len(e.ops) }
+
 // shard supervises one core.Map incarnation plus the journal that outlives
 // it. All fields are guarded by mu: run() and the lifecycle methods
 // serialize per shard while distinct shards execute in parallel.
@@ -97,10 +102,13 @@ type shard[K cmp.Ordered, V any] struct {
 	sink  trace.Sink
 
 	// Journal: the last checkpointed base snapshot plus every acked
-	// mutating batch since.
-	baseKeys []K
-	baseVals []V
-	entries  []logEntry[K, V]
+	// mutating batch since. journalOps is the running op count of entries
+	// (logEntry.size summed); setJournal keeps it in step whenever entries
+	// is replaced.
+	baseKeys   []K
+	baseVals   []V
+	entries    []logEntry[K, V]
+	journalOps int
 
 	// committedLen is the logical key count as of the last acked batch —
 	// the length a rebuild must land on.
@@ -213,31 +221,33 @@ func (s *shard[K, V]) downErr() error {
 // wholesale (its partial mutations with it); the journal holds only acked
 // batches; the rebuilt incarnation is base + journal replay, i.e. exactly
 // the committed state; the in-flight batch is then re-driven from scratch.
-// Every attempt, rebuild and replay is charged into the reply's stats.
-func (s *shard[K, V]) run(b *shardBatch[K, V]) (rep shardReply[K, V]) {
+// Every attempt, rebuild and replay is charged into the reply's stats,
+// which run resets first; the reply's result buffers are reused.
+func (s *shard[K, V]) run(b *shardBatch[K, V], rep *shardReply[K, V]) {
+	rep.st, rep.recovered, rep.err = core.BatchStats{}, 0, nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case ShardDown:
 		rep.err = s.downErr()
-		return rep
+		return
 	case ShardRetired:
 		// Unreachable by routing (a retired shard owns no slots and
 		// broadcasts skip it); fail typed rather than panic if reached.
 		rep.err = fmt.Errorf("shard %d: %w: batch routed to retired shard", s.id, ErrShardState)
-		return rep
+		return
 	case ShardDraining:
 		if b.kind.mutates() {
 			rep.err = fmt.Errorf("shard %d: %w", s.id, ErrShardDraining)
-			return rep
+			return
 		}
 	}
 	rebuilds := 0
 	for {
-		err := s.exec(b, &rep)
+		err := s.exec(b, rep)
 		if err == nil {
-			s.commit(b, &rep)
-			return rep
+			s.commit(b, rep)
+			return
 		}
 		if errors.Is(err, pim.ErrMachineKilled) {
 			s.kills++
@@ -250,10 +260,10 @@ func (s *shard[K, V]) run(b *shardBatch[K, V]) (rep shardReply[K, V]) {
 				(s.c.cfg.MaxRecoveries >= 0 && rebuilds >= s.c.cfg.MaxRecoveries) {
 				s.goDown(err)
 				rep.err = s.downErr()
-				return rep
+				return
 			}
 			rebuilds++
-			rerr := s.rebuildLocked(&rep)
+			rerr := s.rebuildLocked(rep)
 			if rerr == nil {
 				break
 			}
@@ -272,13 +282,13 @@ func (s *shard[K, V]) exec(b *shardBatch[K, V], rep *shardReply[K, V]) error {
 	var err error
 	switch b.kind {
 	case opGet:
-		rep.gets, st, err = s.m.TryGet(b.keys)
+		rep.gets, st, err = s.m.TryGetInto(b.keys, rep.gets)
 	case opUpsert:
-		rep.bools, st, err = s.m.TryUpsert(b.keys, b.vals)
+		rep.bools, st, err = s.m.TryUpsertInto(b.keys, b.vals, rep.bools)
 	case opDelete:
-		rep.bools, st, err = s.m.TryDelete(b.keys)
+		rep.bools, st, err = s.m.TryDeleteInto(b.keys, rep.bools)
 	case opSucc:
-		rep.succs, st, err = s.m.TrySuccessor(b.keys)
+		rep.succs, st, err = s.m.TrySuccessorInto(b.keys, rep.succs)
 	case opRange:
 		rep.ranges, st, err = s.m.TryRangeAuto(b.rops)
 	}
@@ -292,12 +302,12 @@ func (s *shard[K, V]) exec(b *shardBatch[K, V], rep *shardReply[K, V]) error {
 }
 
 // commit acks b: journal the mutation, advance the committed length, and
-// checkpoint the journal when it has grown past CompactEvery.
+// checkpoint the journal when checkpointDue says it has grown enough.
 func (s *shard[K, V]) commit(b *shardBatch[K, V], rep *shardReply[K, V]) {
 	s.journal(b)
 	s.committedLen = s.m.Len()
 	s.batches++
-	if ce := s.c.cfg.CompactEvery; ce > 0 && len(s.entries) >= ce && !s.migrating {
+	if !s.migrating && s.checkpointDue() {
 		// Best-effort: a failed checkpoint (the fault plan can kill the
 		// snapshot too) keeps the longer journal; the batch itself is
 		// already acked. Suppressed mid-migration: the cutover replays the
@@ -308,10 +318,43 @@ func (s *shard[K, V]) commit(b *shardBatch[K, V], rep *shardReply[K, V]) {
 	s.total.Accumulate(rep.st)
 }
 
+// compactFloor is the journal size, in ops, below which the default
+// checkpoint rule never fires, however small the base.
+const compactFloor = 4096
+
+// checkpointDue reports whether the journal should be checkpointed into a
+// fresh base snapshot. The default (CompactEvery 0) fires once the ops
+// journaled since the last checkpoint reach the base's key count, or
+// compactFloor if that is larger: a snapshot costs about one pass over the
+// base, so its cost per journaled op stays constant whatever the batch
+// size, and a rebuild replays at most about one base's worth of ops. A
+// positive CompactEvery counts journaled batches instead; a negative one
+// never fires.
+func (s *shard[K, V]) checkpointDue() bool {
+	switch ce := s.c.cfg.CompactEvery; {
+	case ce > 0:
+		return len(s.entries) >= ce
+	case ce == 0:
+		return s.journalOps >= max(len(s.baseKeys), compactFloor)
+	}
+	return false
+}
+
+// setJournal replaces the journal's entries and recounts journalOps. Every
+// reassignment of entries goes through it.
+func (s *shard[K, V]) setJournal(entries []logEntry[K, V]) {
+	s.entries = entries
+	s.journalOps = 0
+	for i := range entries {
+		s.journalOps += entries[i].size()
+	}
+}
+
 // journal records b's mutation, copying keys/vals out of the reused scatter
 // workspace. Range batches record only their RangeTransform ops — reads
 // don't change state, and transforms apply in batch order among themselves.
 func (s *shard[K, V]) journal(b *shardBatch[K, V]) {
+	n := len(s.entries)
 	switch b.kind {
 	case opUpsert:
 		s.entries = append(s.entries, logEntry[K, V]{
@@ -336,6 +379,9 @@ func (s *shard[K, V]) journal(b *shardBatch[K, V]) {
 		if len(tf) > 0 {
 			s.entries = append(s.entries, logEntry[K, V]{kind: logTransform, seq: b.seq, ops: tf})
 		}
+	}
+	if len(s.entries) > n {
+		s.journalOps += s.entries[n].size()
 	}
 }
 
@@ -411,7 +457,7 @@ func (s *shard[K, V]) compactLocked(charge, acct *core.BatchStats) error {
 	}
 	s.baseKeys = keys
 	s.baseVals = vals
-	s.entries = nil
+	s.setJournal(nil)
 	return nil
 }
 
@@ -450,10 +496,6 @@ func (c *Cluster[K, V]) ShardStats(i int) ShardStats {
 	s := c.view.load().shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	journalOps := 0
-	for j := range s.entries {
-		journalOps += len(s.entries[j].keys) + len(s.entries[j].ops)
-	}
 	st := ShardStats{
 		State:          s.state,
 		Len:            s.committedLen,
@@ -462,7 +504,7 @@ func (c *Cluster[K, V]) ShardStats(i int) ShardStats {
 		Recoveries:     s.recoveries,
 		JournalBase:    len(s.baseKeys),
 		JournalBatches: len(s.entries),
-		JournalOps:     journalOps,
+		JournalOps:     s.journalOps,
 		Migrations:     s.migrations,
 		Total:          s.total,
 		Recovery:       s.recovery,

@@ -114,7 +114,8 @@ type ClusterFrontend[K cmp.Ordered, V any] struct {
 	stop        chan struct{} // closes to stop the sampler
 	samplerDone chan struct{} // closed when the sampler exits; nil if no loop
 
-	ws flushWS[K, V] // collector-owned scratch
+	ws flushWS[K, V]       // collector-owned scratch
+	fl cluster.Flush[K, V] // the cluster call: ws's sub-batches and reused reply buffers
 }
 
 // NewClusterFrontend starts a collector (and, if cfg.RebalanceEvery > 0, a
@@ -376,13 +377,14 @@ func (f *ClusterFrontend[K, V]) flushPending() {
 	f.mu.Unlock()
 }
 
-// flush executes one coalesced batch against the cluster. The linearization
-// contract is identical to the single-Map flush — writes before reads, last
-// writer wins, exact replies — with the scatter/gather supplying the
-// cross-shard barrier: TryUpsert and TryDelete each gather every shard's
-// ack before returning, so by the time the read sub-batches (and in
-// particular the Successor broadcast, which consults all shards) are
-// submitted, every write of the flush is visible on every shard.
+// flush executes one coalesced batch against the cluster in a single
+// Cluster.TryFlush call. The linearization contract is identical to the
+// single-Map flush — writes before reads, last writer wins, exact replies.
+// Writes-before-reads needs no cross-shard barrier: each shard runs the
+// flush's Upsert, Delete, Get and Successor shares back to back, shards own
+// disjoint keys, and a shard's Successor partial reads only that shard —
+// so the broadcast's merged answer reflects every write of the flush.
+// Every reply, Gets included, is delivered once the whole flush returns.
 //
 // Error semantics are per key where the cluster's are (point ops on a down
 // shard fail with that shard's error; a superseded write chain whose final
@@ -394,85 +396,56 @@ func (f *ClusterFrontend[K, V]) flush(batch []*future[K, V]) {
 	ws := &f.ws
 	var queueWait, maxQueueWait time.Duration
 	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-	errs := 0
 
-	// Writes first. A whole-batch error (ErrClosed, gate) predates any
-	// shard work: no op of the flush was applied, every op gets the error.
-	var uerrs, derrs []error
-	if len(ws.ukeys) > 0 {
-		res, perKey, _, err := f.c.TryUpsert(ws.ukeys, ws.uvals)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.ures, uerrs = res, perKey
-	}
-	if len(ws.dkeys) > 0 {
-		res, perKey, _, err := f.c.TryDelete(ws.dkeys)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.dres, derrs = res, perKey
+	fl := &f.fl
+	fl.UpsertKeys, fl.UpsertVals, fl.DeleteKeys = ws.ukeys, ws.uvals, ws.dkeys
+	fl.GetKeys, fl.SuccKeys = ws.gkeys, ws.skeys
+	if _, err := f.c.TryFlush(fl); err != nil {
+		// A whole-flush error (ErrClosed, gate) predates any shard work: no
+		// op of the flush was applied, every op gets the error.
+		deliverErr(batch, err)
+		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
+		return
 	}
 
 	// Replay each key's op chain against the presence bit its final write
 	// learned — unless that write landed on a down shard, in which case the
 	// bit is unknowable and the whole chain fails with the shard's error.
+	errs := 0
 	for x, i := range ws.ufin {
-		if uerrs != nil && uerrs[x] != nil {
-			errs += ws.failChain(i, uerrs[x])
+		if fl.UpsertErrs != nil && fl.UpsertErrs[x] != nil {
+			errs += ws.failChain(i, fl.UpsertErrs[x])
 		} else {
-			ws.replay(i, !ws.ures[x])
+			ws.replay(i, !fl.Upserted[x])
 		}
 	}
 	for x, i := range ws.dfin {
-		if derrs != nil && derrs[x] != nil {
-			errs += ws.failChain(i, derrs[x])
+		if fl.DeleteErrs != nil && fl.DeleteErrs[x] != nil {
+			errs += ws.failChain(i, fl.DeleteErrs[x])
 		} else {
-			ws.replay(i, ws.dres[x])
+			ws.replay(i, fl.Deleted[x])
 		}
 	}
-
-	if len(ws.gkeys) > 0 {
-		res, perKey, _, err := f.c.TryGet(ws.gkeys)
-		if err != nil {
-			deliverErr(ws.gfut, err)
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, errs+len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
-			return
+	for i, fu := range ws.gfut {
+		if fl.GetErrs != nil && fl.GetErrs[i] != nil {
+			fu.err = fl.GetErrs[i]
+			errs++
+		} else {
+			fu.found = fl.Gets[i].Found
+			fu.rval = fl.Gets[i].Value
 		}
-		for i, fu := range ws.gfut {
-			if perKey != nil && perKey[i] != nil {
-				fu.err = perKey[i]
-				errs++
-			} else {
-				fu.found = res[i].Found
-				fu.rval = res[i].Value
-			}
-			fu.ready <- struct{}{}
-		}
+		fu.ready <- struct{}{}
 	}
-	if len(ws.skeys) > 0 {
-		res, perKey, _, err := f.c.TrySuccessor(ws.skeys)
-		if err != nil {
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, errs+len(ws.sfut), queueWait, maxQueueWait)
-			return
+	for i, fu := range ws.sfut {
+		if fl.SuccErrs != nil && fl.SuccErrs[i] != nil { // all-or-nothing broadcast
+			fu.err = fl.SuccErrs[i]
+			errs++
+		} else {
+			fu.found = fl.Succs[i].Found
+			fu.rkey = fl.Succs[i].Key
+			fu.rval = fl.Succs[i].Value
 		}
-		for i, fu := range ws.sfut {
-			if perKey != nil && perKey[i] != nil { // all-or-nothing broadcast
-				fu.err = perKey[i]
-				errs++
-			} else {
-				fu.found = res[i].Found
-				fu.rkey = res[i].Key
-				fu.rval = res[i].Value
-			}
-			fu.ready <- struct{}{}
-		}
+		fu.ready <- struct{}{}
 	}
 	f.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
 }

@@ -230,9 +230,11 @@ type Machine[S any] struct {
 
 // engine is the persistent worker pool of one Machine. Workers park on
 // their wake channel between rounds and exit when quit closes. The engine
-// deliberately does not reference the Machine: workers only reach the
-// engine, so an abandoned Machine becomes unreachable, its finalizer runs
-// Close, and the workers exit instead of leaking.
+// deliberately does not reference the Machine, and between rounds it holds
+// no module either (active is cleared after each round, a parked worker's
+// Ctx drops its module): workers only reach the engine, so an abandoned
+// Machine becomes unreachable, the cleanup registered on it stops the
+// engine, and the workers exit instead of leaking.
 type engine[S any] struct {
 	p      int
 	wake   []chan struct{} // one buffered(1) channel per worker
@@ -249,8 +251,8 @@ type engine[S any] struct {
 // The machine owns min(GOMAXPROCS, p)−1 persistent worker goroutines (the
 // calling goroutine acts as one more executor during Round); with
 // GOMAXPROCS=1 no workers are spawned and rounds run entirely inline.
-// Workers are parked between rounds and reaped by a finalizer when the
-// machine becomes unreachable; call Close to release them sooner.
+// Workers are parked between rounds and reaped by a runtime cleanup when
+// the machine becomes unreachable; call Close to release them sooner.
 func NewMachine[S any](p int, newState func(id ModuleID) S) *Machine[S] {
 	if p <= 0 {
 		panic(fmt.Sprintf("pim: invalid module count %d", p))
@@ -285,20 +287,27 @@ func newMachineWorkers[S any](p, workers int, newState func(id ModuleID) S) *Mac
 			go e.worker(w)
 		}
 		m.eng = e
-		runtime.SetFinalizer(m, (*Machine[S]).Close)
+		// A cleanup, unlike a finalizer, also runs when m sits in a
+		// reference cycle — and module states that point back at their
+		// owner (core's scratch tasks hold the *core.Map) make one.
+		runtime.AddCleanup(m, (*engine[S]).shutdown, e)
 	}
 	return m
 }
 
+// shutdown closes quit once, so every parked worker exits.
+func (e *engine[S]) shutdown() { e.stop.Do(func() { close(e.quit) }) }
+
 // Close releases the machine's persistent workers. It is idempotent and
-// optional — an unreachable machine is cleaned up by a finalizer. After
+// optional — an unreachable machine's workers are stopped by a runtime
+// cleanup. After
 // Close, TryRound/TryDrive return ErrClosed deterministically (and the
 // panicking Round/Drive wrappers panic with it) instead of racing dead
 // workers.
 func (m *Machine[S]) Close() {
 	m.closed = true
 	if m.eng != nil {
-		m.eng.stop.Do(func() { close(m.eng.quit) })
+		m.eng.shutdown()
 	}
 }
 
@@ -340,6 +349,7 @@ func (e *engine[S]) worker(w int) {
 		case <-e.wake[w]:
 		}
 		e.drain(&ctx)
+		ctx.mod = nil // a parked worker must not keep the round's module alive
 		e.wg.Done()
 	}
 }
@@ -490,6 +500,7 @@ func (m *Machine[S]) runActive(active []*Module[S]) {
 		}
 		e.drain(&m.ctx)
 		e.wg.Wait()
+		e.active = nil // the workers can reach e; between rounds it holds no module
 	} else {
 		for _, mod := range active {
 			mod.runQueue(&m.ctx)

@@ -404,6 +404,14 @@ type ClusterConfig = cluster.Config
 // throughput metrics) plus the rebuilds performed.
 type ClusterStats = cluster.Stats
 
+// ClusterFlush is one coalesced flush for Cluster.TryFlush: Upsert,
+// Delete, Get and Successor sub-batches (any may be empty) that run in a
+// single scatter/gather, each shard taking its share of all four back to
+// back, plus caller-owned reply buffers a long-lived caller reuses across
+// flushes. Replies and per-key errors equal those of TryUpsert, TryDelete,
+// TryGet and TrySuccessor called in that order.
+type ClusterFlush[K cmp.Ordered, V any] = cluster.Flush[K, V]
+
 // ClusterShardStats is one shard's health and cost summary (state, journal
 // size in batches and operations, kills, recoveries, migrations, and the
 // accumulated, recovery-only, and migration-only cost accounts).
