@@ -6,18 +6,17 @@
 # frontend` runs the concurrent-frontend verification suite and refreshes
 # results/BENCH_frontend.json; `make cluster` runs the sharded-cluster
 # verification suite and refreshes results/BENCH_cluster.json; `make
-# pipeline` runs the pipelined-execution verification suite and refreshes
-# results/BENCH_pipeline.json; `make rebalance` runs the live-rebalancing
-# verification suite and refreshes results/BENCH_rebalance.json; `make
-# clusterfrontend` runs the composed-stack verification suite (coalescing
-# frontend over the elastic cluster, rebalance loop live) and refreshes
+# rebalance` runs the live-rebalancing verification suite and refreshes
+# results/BENCH_rebalance.json; `make clusterfrontend` runs the
+# composed-stack verification suite (coalescing frontend over the elastic
+# cluster, rebalance loop live) and refreshes
 # results/BENCH_clusterfrontend.json; `make docs` lints the documentation
 # (markdown links, pimbench command and pimgo.* API references, cited
 # benchmark files, facade godoc coverage) and gofmt cleanliness.
 
 GO ?= go
 
-.PHONY: build test race vet bench benchguard chaos frontend cluster rebalance pipeline clusterfrontend docs check
+.PHONY: build test race vet bench benchguard chaos frontend cluster rebalance clusterfrontend docs check
 
 build:
 	$(GO) build ./...
@@ -79,16 +78,6 @@ rebalance:
 	$(GO) test -run 'TestSplitShard|TestMergeShards|TestMigration|TestRetiredShard|TestLoad|TestRebalance|TestClusterClose|TestStopShard|TestJournalGrowth|TestDegradedBroadcasts' -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestRebalanceChaosSoak|TestClusterCloseDeterministic' -count=1 ./internal/cluster/
 	$(GO) run ./cmd/pimbench rebalance -out results/BENCH_rebalance.json
-
-# Pipelined-execution verification: the bit-identity oracles (core,
-# frontend, cluster; plus -race), the pipelined zero-alloc guards, then the
-# serial-vs-pipelined shape-ladder record with its refuse-on-divergence
-# guard.
-pipeline:
-	$(GO) test -run 'TestPipeline|TestFrontendPipelined|TestClusterPipeline' -count=1 . ./internal/frontend/ ./internal/cluster/
-	$(GO) test -race -run 'TestPipeline|TestFrontendPipelined|TestClusterPipeline' -count=1 . ./internal/frontend/ ./internal/cluster/
-	$(GO) test -run 'TestZeroAllocPipeline|TestZeroAllocFrontendPipelined' -count=1 .
-	$(GO) run ./cmd/pimbench pipeline -out results/BENCH_pipeline.json
 
 # Composed-stack verification: the ClusterFrontend oracle/lifecycle suites,
 # the chaos soak with the background rebalance loop live (plus -race), the

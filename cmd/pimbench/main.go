@@ -21,7 +21,6 @@
 //	ablate    design ablations: -what=hlow|pivot|dedup
 //	chaos     fault-injection recovery costs under every built-in plan
 //	frontend  concurrent batching frontend: client-goroutine ladder
-//	pipeline  pipelined batch execution: serial vs two-deep overlap
 //	trace     per-phase metric attribution; -chrome exports a Chrome trace
 //	all       every experiment in sequence
 //
@@ -62,7 +61,6 @@ var experiments = []experiment{
 	{"batchengine", "steady-state batch-op benchmarks → results/BENCH_batchengine.json", runBatchEngine},
 	{"chaos", "fault-injection recovery costs → results/BENCH_chaos.json", runChaos},
 	{"frontend", "concurrent batching frontend ladder → results/BENCH_frontend.json", runFrontend},
-	{"pipeline", "pipelined batch execution vs serial → results/BENCH_pipeline.json", runPipeline},
 	{"cluster", "sharded multi-Map cluster ladder → results/BENCH_cluster.json", runCluster},
 	{"rebalance", "live shard split/merge rebalancing ladder → results/BENCH_rebalance.json", runRebalance},
 	{"clusterfrontend", "coalescing frontend over the elastic cluster, rebalance loop live → results/BENCH_clusterfrontend.json", runClusterFrontend},

@@ -236,11 +236,9 @@ var posKind = [flushKinds]batchKind{opUpsert, opDelete, opGet, opSucc}
 
 // clusterWS is one call's workspace, reused across calls so the
 // steady-state path allocates only for growth: the routing of each point
-// sub-batch, the broadcast keys, and each shard's queued sub-batches with
-// their reply buffers.
+// sub-batch, and each shard's queued sub-batches with their reply buffers.
 type clusterWS[K cmp.Ordered, V any] struct {
 	pt   [posSucc]scatter[K, V] // indexed by point position
-	succ []K                    // Successor broadcast keys
 	work []shardWork[K, V]      // indexed by shard id
 }
 
@@ -474,22 +472,6 @@ func (c *Cluster[K, V]) scatterInto(sc *scatter[K, V], v *epochView[K, V], keys 
 	}
 }
 
-// scatterFlush routes f's point sub-batches into ws and records its
-// Successor keys. The workspace is explicit: serial calls use the
-// cluster's own ws, while the pipeline scatters into its second workspace
-// whilst an earlier batch's shards are still executing (pipeline.go).
-// Routing within an epoch is a pure function of (hash, Seed, table) — it
-// reads no shard state — and the epoch cannot change while the gate is
-// held (migrations need the gate to publish), which is what makes that
-// overlap legal.
-func (c *Cluster[K, V]) scatterFlush(ws *clusterWS[K, V], f *Flush[K, V]) {
-	v := c.view.load()
-	c.scatterInto(&ws.pt[posUpsert], v, f.UpsertKeys, f.UpsertVals)
-	c.scatterInto(&ws.pt[posDelete], v, f.DeleteKeys, nil)
-	c.scatterInto(&ws.pt[posGet], v, f.GetKeys, nil)
-	ws.succ = f.SuccKeys
-}
-
 // resize returns s with length n, reusing capacity. A nil s comes back
 // non-nil, so an empty reply is an empty slice.
 func resize[T any](s []T, n int) []T {
@@ -499,9 +481,10 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// resetWork readies ws's per-shard work for a call in epoch v: nothing
-// queued, reply buffers kept.
-func resetWork[K cmp.Ordered, V any](ws *clusterWS[K, V], v *epochView[K, V]) []shardWork[K, V] {
+// resetWork readies the workspace's per-shard work for a call in epoch v:
+// nothing queued, reply buffers kept.
+func (c *Cluster[K, V]) resetWork(v *epochView[K, V]) []shardWork[K, V] {
+	ws := &c.ws
 	ws.work = resize(ws.work, len(v.shards))
 	for s := range ws.work {
 		ws.work[s].queued = [flushKinds]bool{}
@@ -535,18 +518,24 @@ func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V]) {
 	wg.Wait()
 }
 
-// runFlush executes a scattered flush and gathers its replies into f. Each
-// shard's goroutine runs that shard's sub-batches back to back in position
+// runFlush routes f's point sub-batches, runs the flush and gathers its
+// replies into f. Routing within an epoch is a pure function of (hash,
+// Seed, table): it reads no shard state, and the epoch cannot change while
+// the gate is held (migrations need the gate to publish). Each shard's
+// goroutine runs that shard's sub-batches back to back in position
 // order, so writes precede reads without a cross-shard barrier: shards own
 // disjoint keys, and a shard's Successor partial reads only that shard,
 // after that shard's writes. Each non-empty mutating sub-batch draws one
 // cluster-wide commit sequence number, Upsert before Delete, shared by
 // every shard's share of it (see Cluster.mutSeq) — the draws TryUpsert then
 // TryDelete make.
-func (c *Cluster[K, V]) runFlush(ws *clusterWS[K, V], f *Flush[K, V]) Stats {
-	v := c.view.load()
-	work := resetWork(ws, v)
-	batch := len(ws.succ)
+func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
+	ws, v := &c.ws, c.view.load()
+	c.scatterInto(&ws.pt[posUpsert], v, f.UpsertKeys, f.UpsertVals)
+	c.scatterInto(&ws.pt[posDelete], v, f.DeleteKeys, nil)
+	c.scatterInto(&ws.pt[posGet], v, f.GetKeys, nil)
+	work := c.resetWork(v)
+	batch := len(f.SuccKeys)
 	for k := range ws.pt {
 		sc := &ws.pt[k]
 		if len(sc.keys) == 0 {
@@ -570,12 +559,12 @@ func (c *Cluster[K, V]) runFlush(ws *clusterWS[K, V], f *Flush[K, V]) Stats {
 			work[s].queued[k], work[s].b[k] = true, b
 		}
 	}
-	if len(ws.succ) > 0 {
+	if len(f.SuccKeys) > 0 {
 		for s := range work {
 			if v.owned[s] == 0 {
 				continue // retired: owns no keys, cannot hold any answer
 			}
-			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: ws.succ}
+			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: f.SuccKeys}
 		}
 	}
 	c.runShards(v, work)
@@ -585,8 +574,7 @@ func (c *Cluster[K, V]) runFlush(ws *clusterWS[K, V], f *Flush[K, V]) Stats {
 	f.Deleted, f.DeleteErrs = gatherPoint(&ws.pt[posDelete], work, posDelete, f.Deleted, bools)
 	f.Gets, f.GetErrs = gatherPoint(&ws.pt[posGet], work, posGet, f.Gets,
 		func(r *shardReply[K, V]) []core.GetResult[V] { return r.gets })
-	f.Succs, f.SuccErrs = gatherSucc(work, len(ws.succ), f.Succs)
-	ws.succ = nil // release the caller's keys
+	f.Succs, f.SuccErrs = gatherSucc(work, len(f.SuccKeys), f.Succs)
 	return c.finish(batch, work)
 }
 
@@ -697,8 +685,7 @@ func (c *Cluster[K, V]) TryFlush(f *Flush[K, V]) (st Stats, err error) {
 		return Stats{}, err
 	}
 	defer c.end()
-	c.scatterFlush(&c.ws, f)
-	return c.runFlush(&c.ws, f), nil
+	return c.runFlush(f), nil
 }
 
 // TryGet looks every key up: TryFlush with only a Get sub-batch. res[i]
@@ -758,7 +745,7 @@ func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.
 	}
 	defer c.end()
 	v := c.view.load()
-	work := resetWork(&c.ws, v)
+	work := c.resetWork(v)
 	c.mutSeq++ // the batch may carry transforms; one commit seq covers it
 	for s := range work {
 		if v.owned[s] == 0 {

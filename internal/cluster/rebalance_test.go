@@ -308,20 +308,19 @@ func TestMigrationErrorSurface(t *testing.T) {
 		t.Errorf("SplitShard with 1 slot: %v, want ErrShardState", err)
 	}
 
-	// The gate is shared with batches: an open pipeline blocks migrations.
-	p, err := NewClusterPipeline(c)
-	if err != nil {
-		t.Fatalf("NewClusterPipeline: %v", err)
+	// The gate is shared with batches: a batch holding it blocks migrations.
+	if !c.inBatch.CompareAndSwap(false, true) {
+		t.Fatal("gate unexpectedly held")
 	}
 	if _, _, err := c.SplitShard(0, nil); !errors.Is(err, core.ErrConcurrentBatch) {
-		t.Errorf("SplitShard under pipeline: %v, want ErrConcurrentBatch", err)
+		t.Errorf("SplitShard while a batch holds the gate: %v, want ErrConcurrentBatch", err)
 	}
-	p.Close()
+	c.inBatch.Store(false)
 
 	// Migrations are single-flight: a migration launched from inside
 	// another's phase callback fails typed with ErrRebalancing.
 	var nested error
-	_, _, err = c.SplitShard(0, &MigrateOpts{OnPhase: func(phase string) {
+	_, _, err := c.SplitShard(0, &MigrateOpts{OnPhase: func(phase string) {
 		if phase == PhaseCopy {
 			_, _, nested = c.SplitShard(1, nil)
 		}

@@ -7,9 +7,9 @@
 // new table and publishes it atomically as the next epoch. Because every
 // batch runs under the cluster's single-flight gate and a migration's
 // cutover holds that same gate, a batch observes exactly one epoch: the old
-// epoch is fully drained (no batch in flight, no pipeline open) before the
-// new one becomes visible, which is what keeps replies bit-identical to a
-// single Map across a cutover.
+// epoch is fully drained (no batch in flight) before the new one becomes
+// visible, which is what keeps replies bit-identical to a single Map across
+// a cutover.
 package cluster
 
 import (

@@ -60,7 +60,7 @@ type FaultStats = pim.FaultStats
 // NewSeededFaultPlan builds the deterministic built-in fault plan.
 func NewSeededFaultPlan(cfg FaultConfig) FaultPlan { return pim.NewSeededPlan(cfg) }
 
-// batchAbort wraps a round error while it unwinds the batch pipeline; it
+// batchAbort wraps a round error while it unwinds the batch; it
 // implements error so even a legacy (panicking) entry point panics with a
 // value that errors.Is can match.
 type batchAbort struct{ err error }
@@ -80,7 +80,7 @@ func catchAbort(errp *error) {
 	}
 }
 
-// round is the single choke point between the batch pipeline and the
+// round is the single choke point between the batch algorithms and the
 // machine: every phase of every op drives its sends through here, so a
 // round failure aborts the whole batch uniformly.
 func (m *Map[K, V]) round(sends []pim.Send[*modState[K, V]]) ([]pim.Reply, []pim.Send[*modState[K, V]]) {

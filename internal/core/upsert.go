@@ -232,22 +232,22 @@ func (m *Map[K, V]) UpsertInto(keys []K, vals []V, dst []bool) ([]bool, BatchSta
 	if B == 0 {
 		return inserted, m.endBatch(tr, c, 0, 0, 0)
 	}
-	m.prepUpsert(m.ws, c, keys, vals)
+	m.prepUpsert(c, keys, vals)
 	phases, maxAcc := m.execUpsert(c, B)
 	return m.scatterInserted(c, tr, inserted, m.ws.prepSlot, m.ws.found, B, phases, maxAcc)
 }
 
-// prepUpsert is Upsert's round-free CPU prefix on workspace ws: the semisort
-// dedup (last value wins) and the stage-0 probe-send construction. Like
-// prepGet it is a pure function of the batch arguments — tower heights (the
-// Map's RNG) are drawn on the exec side, after the probe rounds, exactly as
-// in the serial schedule.
-func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V) {
+// prepUpsert is Upsert's round-free CPU prefix: the semisort dedup (last
+// value wins) and the stage-0 probe-send construction. Like prepGet it is a
+// pure function of the batch arguments — tower heights (the Map's RNG) are
+// drawn on the exec side, after the probe rounds.
+func (m *Map[K, V]) prepUpsert(c *cpu.Ctx, keys []K, vals []V) {
+	ws := m.ws
 	B := len(keys)
 	c.Tracker().Alloc(int64(3 * B))
 
 	// Deduplicate (last value wins).
-	m.markPhase(ws, c, trace.PhaseSemisort)
+	m.phase(c, trace.PhaseSemisort)
 	uniq, slot := m.dedupWS(ws, c, keys)
 	ws.chosen = grow(ws.chosen, len(uniq))
 	chosen := ws.chosen
@@ -257,7 +257,7 @@ func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V
 	}
 
 	// Stage 0: try Update; collect misses.
-	m.markPhase(ws, c, trace.PhaseExecute)
+	m.phase(c, trace.PhaseExecute)
 	ws.found = grow(ws.found, len(uniq))
 	sends := grow(ws.sends[:0], len(uniq))
 	c.WorkFlat(int64(len(uniq)))
@@ -275,7 +275,7 @@ func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V
 
 // execUpsert is Upsert's machine half: drive the probe rounds, then build the
 // missing towers (stages 1a–3). Returns (pivot phases, max node access) for
-// the final stats. Runs on the Map's active workspace.
+// the final stats. Runs on the Map's workspace.
 func (m *Map[K, V]) execUpsert(c *cpu.Ctx, B int) (int64, int64) {
 	ws := m.ws
 	uniq := ws.prepUniq

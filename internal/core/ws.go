@@ -19,7 +19,6 @@ import (
 	"pimgo/internal/parutil"
 	"pimgo/internal/pim"
 	"pimgo/internal/rng"
-	"pimgo/internal/trace"
 )
 
 // grow returns s resized to n, reusing capacity; contents are unspecified.
@@ -236,18 +235,6 @@ type batchWS[K cmp.Ordered, V any] struct {
 	// open-phase snapshot. Maintained only while a trace sink is installed.
 	op string
 	ph phaseSnap
-
-	// Deferred-prep state (pipeline.go): while deferred is true, markPhase
-	// buffers phase spans locally instead of emitting to the sink (the
-	// machine, and its event stream, still belongs to an earlier batch);
-	// beginBatchPrepped replays them at the hand-off. prepOpen/prepPh/
-	// prepWork/prepDepth snapshot the prep's final, still-open phase.
-	deferred  bool
-	prepSpans []trace.Span
-	prepOpen  bool
-	prepPh    trace.Phase
-	prepWork  int64
-	prepDepth int64
 
 	// Hand-off values from a batch's prep half to its exec half: the dedup
 	// result (Get/Upsert/Delete). uniq aliases a parutil arena (or, with

@@ -2,11 +2,9 @@ package frontend
 
 import (
 	"cmp"
-	"runtime"
 	"time"
 
 	"pimgo/internal/cluster"
-	"pimgo/internal/core"
 	"pimgo/internal/trace"
 )
 
@@ -41,19 +39,6 @@ type ClusterConfig struct {
 	Trace trace.Sink
 }
 
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	}
-	if c.RebalanceEvery < 0 {
-		c.RebalanceEvery = 0
-	}
-	return c
-}
-
 // ClusterStats extends the collector statistics with the rebalance control
 // loop's counters; read with ClusterFrontend.Stats.
 type ClusterStats struct {
@@ -72,11 +57,12 @@ type ClusterStats struct {
 }
 
 // ClusterFrontend coalesces single-key operations from concurrent
-// goroutines into batches on an elastic cluster.Cluster, exactly as
-// Frontend does for one core.Map: same collector, same pooled futures,
-// same writes-before-reads / last-writer-wins flush semantics, bit-identical
-// replies. Each flush scatters into per-shard sub-batches through the
-// cluster's epoch-versioned slot table and gathers exactly-once replies.
+// goroutines into batches on an elastic cluster.Cluster on the same
+// collector as Frontend: same pooled futures, same writes-before-reads /
+// last-writer-wins flush semantics, bit-identical replies. Each flush is
+// one Cluster.TryFlush, which scatters into per-shard sub-batches through
+// the cluster's epoch-versioned slot table and gathers exactly-once
+// replies; every reply of the flush goes out once it returns.
 //
 // On top of serving, the frontend can drive the cluster's elasticity: with
 // ClusterConfig.RebalanceEvery set, a background sampler feeds per-window
@@ -87,7 +73,7 @@ type ClusterStats struct {
 // surfaced to clients).
 //
 // The frontend must be the cluster's only driver: its collector is the
-// single goroutine calling the cluster's Try* batches and Rebalance, so the
+// single goroutine calling the cluster's TryFlush and RebalanceFrom, so the
 // cluster's one-batch-at-a-time gate (cluster.ErrConcurrentBatch) is
 // structurally satisfied. Direct batch or migration calls on the cluster
 // while the frontend is open race with the collector.
@@ -98,24 +84,19 @@ type ClusterStats struct {
 // presence is unknowable); ops on healthy shards are unaffected. Successor
 // broadcasts are all-or-nothing, as in cluster.TrySuccessor.
 type ClusterFrontend[K cmp.Ordered, V any] struct {
-	intake[K, V]
+	collector[K, V]
+	cb clusterBackend[K, V]
 
-	c   *cluster.Cluster[K, V]
-	cfg ClusterConfig
+	policy cluster.RebalancePolicy
+	every  time.Duration
 
-	stats ClusterStats // guarded by intake.mu
-
-	// Rebalance hand-off: the sampler publishes the newest unconsumed
-	// DeltaLoads window; the collector consumes it between flushes. Guarded
-	// by intake.mu.
+	// Rebalance hand-off, guarded by the collector's mu: the sampler
+	// publishes the newest unconsumed DeltaLoads window and sets due; the
+	// collector's hook consumes it between flushes. loop holds the
+	// control-loop counters (its Stats part is filled in by Stats).
 	window    []cluster.ShardLoad
 	windowSeq int64
-
-	stop        chan struct{} // closes to stop the sampler
-	samplerDone chan struct{} // closed when the sampler exits; nil if no loop
-
-	ws flushWS[K, V]       // collector-owned scratch
-	fl cluster.Flush[K, V] // the cluster call: ws's sub-batches and reused reply buffers
+	loop      ClusterStats
 }
 
 // NewClusterFrontend starts a collector (and, if cfg.RebalanceEvery > 0, a
@@ -123,13 +104,15 @@ type ClusterFrontend[K cmp.Ordered, V any] struct {
 // driver; use Close to stop it (the cluster itself is left open — closing
 // it remains the caller's responsibility).
 func NewClusterFrontend[K cmp.Ordered, V any](c *cluster.Cluster[K, V], cfg ClusterConfig) *ClusterFrontend[K, V] {
-	cfg = cfg.withDefaults()
-	f := &ClusterFrontend[K, V]{c: c, cfg: cfg}
-	f.intake.init(cfg.MaxBatch)
-	f.ws.init()
-	if cfg.RebalanceEvery > 0 {
-		f.stop = make(chan struct{})
-		f.samplerDone = make(chan struct{})
+	f := &ClusterFrontend[K, V]{
+		cb:     clusterBackend[K, V]{c: c, sink: cfg.Trace},
+		policy: cfg.Policy,
+		every:  cfg.RebalanceEvery,
+	}
+	f.init(&f.cb, cfg.MaxBatch, cfg.MaxWait)
+	if f.every > 0 {
+		f.hook = f.rebalance
+		f.aux.Add(1)
 		go f.sampler()
 	}
 	go f.run()
@@ -139,40 +122,16 @@ func NewClusterFrontend[K cmp.Ordered, V any](c *cluster.Cluster[K, V], cfg Clus
 // Cluster returns the underlying cluster (read-only introspection — Len,
 // Epoch, Loads, ShardStats; do not run batches or migrations on it while
 // the frontend is open).
-func (f *ClusterFrontend[K, V]) Cluster() *cluster.Cluster[K, V] { return f.c }
+func (f *ClusterFrontend[K, V]) Cluster() *cluster.Cluster[K, V] { return f.cb.c }
 
 // Stats returns a snapshot of the collector and control-loop statistics.
+// Like Frontend.Stats it is final once Close has returned.
 func (f *ClusterFrontend[K, V]) Stats() ClusterStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
-}
-
-// Close drains the collector — every already-enqueued op still receives its
-// reply — stops the rebalance loop, and shuts the frontend down. An
-// unconsumed load window is dropped, and no new migration starts after
-// Close begins (a migration already running completes first: cutover is
-// not abandoned mid-flight). Ops submitted after Close fail with
-// core.ErrClosed. Close is idempotent and safe to call concurrently:
-// exactly one caller returns nil, every other call returns core.ErrClosed
-// after the collector has fully drained. The underlying cluster stays open.
-func (f *ClusterFrontend[K, V]) Close() error {
-	f.mu.Lock()
-	already := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if !already && f.stop != nil {
-		close(f.stop)
-	}
-	if f.samplerDone != nil {
-		<-f.samplerDone
-	}
-	f.wake()
-	<-f.done
-	if already {
-		return core.ErrClosed
-	}
-	return nil
+	st := f.loop
+	st.Stats = f.stats
+	return st
 }
 
 // sampler is the load-sampling goroutine: every RebalanceEvery it turns two
@@ -182,19 +141,20 @@ func (f *ClusterFrontend[K, V]) Close() error {
 // windows are superseded, not queued: the policy should always judge the
 // cluster by its most recent behaviour.
 func (f *ClusterFrontend[K, V]) sampler() {
-	defer close(f.samplerDone)
-	tick := time.NewTicker(f.cfg.RebalanceEvery)
+	defer f.aux.Done()
+	tick := time.NewTicker(f.every)
 	defer tick.Stop()
-	prev := f.c.Loads()
+	c := f.cb.c
+	prev := c.Loads()
 	for {
 		select {
-		case <-f.stop:
+		case <-f.quit:
 			return
 		case <-tick.C:
 		}
 		// Loads locks one shard at a time and never touches the batch path,
 		// so sampling is safe concurrent with the collector's flushes.
-		cur := f.c.Loads()
+		cur := c.Loads()
 		w := cluster.DeltaLoads(cur, prev)
 		prev = cur
 		f.mu.Lock()
@@ -204,123 +164,38 @@ func (f *ClusterFrontend[K, V]) sampler() {
 		}
 		f.windowSeq++
 		f.window = w
+		f.due = true
 		f.mu.Unlock()
 		f.wake()
 	}
 }
 
-// run is the collector goroutine: wait for ops or a load window, gather and
-// optionally dwell exactly as the single-Map collector does, flush in
-// MaxBatch chunks, then — with the cluster idle between flushes — consume
-// the pending window, if any, through the rebalance policy.
-func (f *ClusterFrontend[K, V]) run() {
-	defer close(f.done)
-	var tmr *time.Timer
-	for {
-		f.mu.Lock()
-		for {
-			if len(f.pending) > 0 {
-				break // drain even while closing
-			}
-			if f.closed {
-				f.mu.Unlock()
-				return // drops an unconsumed window, by design
-			}
-			if f.window != nil {
-				break
-			}
-			f.mu.Unlock()
-			<-f.notify
-			f.mu.Lock()
-		}
-		// Gather: yield to runnable clients until the forming batch stops
-		// growing or fills (see Frontend.run for the rationale).
-		for {
-			n := len(f.pending)
-			if n >= f.cfg.MaxBatch || f.closed {
-				break
-			}
-			f.mu.Unlock()
-			runtime.Gosched()
-			f.mu.Lock()
-			if len(f.pending) == n {
-				break
-			}
-		}
-		if f.cfg.MaxWait > 0 && len(f.pending) > 0 {
-			deadline := f.pending[0].enq.Add(f.cfg.MaxWait)
-			for len(f.pending) < f.cfg.MaxBatch && !f.closed {
-				d := time.Until(deadline)
-				if d <= 0 {
-					break
-				}
-				f.mu.Unlock()
-				if tmr == nil {
-					tmr = time.NewTimer(d)
-				} else {
-					tmr.Reset(d)
-				}
-				expired := false
-				select {
-				case <-f.notify:
-					if !tmr.Stop() {
-						<-tmr.C
-					}
-				case <-tmr.C:
-					expired = true
-				}
-				f.mu.Lock()
-				if expired {
-					break
-				}
-			}
-		}
-		batch := f.pending
-		f.pending = f.spare
-		f.spare = nil
-		w, seq := f.window, f.windowSeq
-		f.window = nil
-		closing := f.closed
-		f.mu.Unlock()
-
-		for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-			end := off + f.cfg.MaxBatch
-			if end > len(batch) {
-				end = len(batch)
-			}
-			f.flush(batch[off:end])
-		}
-
-		clear(batch) // drop future refs before parking the buffer
-		f.mu.Lock()
-		f.spare = batch[:0]
-		f.mu.Unlock()
-
-		if w != nil && !closing {
-			f.runRebalance(w, seq)
-		}
-	}
-}
-
-// runRebalance feeds one DeltaLoads window to the policy and runs the
-// proposed migrations via Cluster.RebalanceFrom, on the collector goroutine
-// with no flush in flight — the cluster's single-flight gate is free, so
-// ErrConcurrentBatch cannot occur. Migration copy/catchup phases drain the
-// intake (flushPending) so client traffic keeps flowing while keys move.
+// rebalance is the collector's hook: it feeds the newest DeltaLoads window
+// to the policy and runs the proposed migrations via Cluster.RebalanceFrom,
+// on the collector goroutine with no flush in flight — the cluster's
+// single-flight gate is free, so ErrConcurrentBatch cannot occur. Migration
+// copy/catchup phases drain the intake (flushPending) so client traffic
+// keeps flowing while keys move.
 //
 // Errors are absorbed, never surfaced to clients: the window was sampled
 // before the actions ran, so a proposed shard may have been retired or
 // shrunk by the previous action (ErrShardState, ErrRebalancing). Such
 // windows count as Transients and the next window re-proposes from fresh
 // loads — transient-and-retry is the loop's steady state, not a failure.
-func (f *ClusterFrontend[K, V]) runRebalance(w []cluster.ShardLoad, seq int64) {
+func (f *ClusterFrontend[K, V]) rebalance() {
+	f.mu.Lock()
+	w, seq := f.window, f.windowSeq
+	f.window, f.due = nil, false
+	f.mu.Unlock()
+
+	c := f.cb.c
 	opts := &cluster.MigrateOpts{
 		// copy and catchup fire with the migration gate released: drain
 		// client ops that queued while the phase ran, so traffic flows
 		// throughout the migration instead of stalling behind it.
 		OnPhase: func(string) { f.flushPending() },
 	}
-	rep, err := f.c.RebalanceFrom(w, f.cfg.Policy, opts)
+	rep, err := c.RebalanceFrom(w, f.policy, opts)
 	published := 0
 	for _, r := range rep.Reports {
 		if r.SlotsMoved > 0 {
@@ -328,7 +203,7 @@ func (f *ClusterFrontend[K, V]) runRebalance(w []cluster.ShardLoad, seq int64) {
 		}
 	}
 	f.mu.Lock()
-	st := &f.stats
+	st := &f.loop
 	st.Windows++
 	st.Proposed += int64(len(rep.Actions))
 	st.Published += int64(published)
@@ -336,76 +211,53 @@ func (f *ClusterFrontend[K, V]) runRebalance(w []cluster.ShardLoad, seq int64) {
 		st.Transients++
 	}
 	f.mu.Unlock()
-	if sink, ok := f.cfg.Trace.(trace.RebalanceSink); ok {
+	if sink, ok := f.cb.sink.(trace.RebalanceSink); ok {
 		sink.Rebalance(trace.RebalanceStat{
 			Window:    seq,
 			Shards:    len(w),
 			Proposed:  len(rep.Actions),
 			Published: published,
-			Epoch:     f.c.Epoch(),
+			Epoch:     c.Epoch(),
 			Transient: err != nil,
 		})
 	}
 }
 
-// flushPending drains whatever ops queued since the last flush — one swap,
-// not a loop, so sustained traffic cannot livelock a migration phase. It
-// runs on the collector goroutine between that goroutine's own flushes, so
-// reusing the flush workspace is safe.
-func (f *ClusterFrontend[K, V]) flushPending() {
-	f.mu.Lock()
-	if len(f.pending) == 0 {
-		f.mu.Unlock()
-		return
-	}
-	batch := f.pending
-	f.pending = f.spare
-	f.spare = nil
-	f.mu.Unlock()
-
-	for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-		end := off + f.cfg.MaxBatch
-		if end > len(batch) {
-			end = len(batch)
-		}
-		f.flush(batch[off:end])
-	}
-
-	clear(batch)
-	f.mu.Lock()
-	f.spare = batch[:0]
-	f.mu.Unlock()
+// clusterBackend flushes into a cluster.Cluster through one reused
+// cluster.Flush, so steady-state flushes reuse its reply buffers.
+type clusterBackend[K cmp.Ordered, V any] struct {
+	c    *cluster.Cluster[K, V]
+	fl   cluster.Flush[K, V]
+	sink trace.Sink // ClusterConfig.Trace
 }
 
-// flush executes one coalesced batch against the cluster in a single
-// Cluster.TryFlush call. The linearization contract is identical to the
-// single-Map flush — writes before reads, last writer wins, exact replies.
-// Writes-before-reads needs no cross-shard barrier: each shard runs the
-// flush's Upsert, Delete, Get and Successor shares back to back, shards own
-// disjoint keys, and a shard's Successor partial reads only that shard —
-// so the broadcast's merged answer reflects every write of the flush.
-// Every reply, Gets included, is delivered once the whole flush returns.
+// flushSink returns ClusterConfig.Trace if it takes FlushStat events.
+func (b *clusterBackend[K, V]) flushSink() trace.FlushSink {
+	s, _ := b.sink.(trace.FlushSink)
+	return s
+}
+
+// flush runs the sub-batches in a single Cluster.TryFlush call and answers
+// every future once it returns, Gets included. Writes-before-reads needs
+// no cross-shard barrier: each shard runs the flush's Upsert, Delete, Get
+// and Successor shares back to back, shards own disjoint keys, and a
+// shard's Successor partial reads only that shard — so the broadcast's
+// merged answer reflects every write of the flush.
 //
 // Error semantics are per key where the cluster's are (point ops on a down
 // shard fail with that shard's error; a superseded write chain whose final
 // write landed on a down shard fails whole, since the key's presence is
 // unknowable) and per flush where they are not (gate errors, Successor
 // broadcasts).
-func (f *ClusterFrontend[K, V]) flush(batch []*future[K, V]) {
-	start := time.Now()
-	ws := &f.ws
-	var queueWait, maxQueueWait time.Duration
-	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-
-	fl := &f.fl
+func (b *clusterBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) int {
+	fl := &b.fl
 	fl.UpsertKeys, fl.UpsertVals, fl.DeleteKeys = ws.ukeys, ws.uvals, ws.dkeys
 	fl.GetKeys, fl.SuccKeys = ws.gkeys, ws.skeys
-	if _, err := f.c.TryFlush(fl); err != nil {
+	if _, err := b.c.TryFlush(fl); err != nil {
 		// A whole-flush error (ErrClosed, gate) predates any shard work: no
 		// op of the flush was applied, every op gets the error.
 		deliverErr(batch, err)
-		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-		return
+		return len(batch)
 	}
 
 	// Replay each key's op chain against the presence bit its final write
@@ -447,35 +299,5 @@ func (f *ClusterFrontend[K, V]) flush(batch []*future[K, V]) {
 		}
 		fu.ready <- struct{}{}
 	}
-	f.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
-}
-
-// finish records the flush in the collector stats and emits a FlushStat to
-// the frontend's trace sink if it implements trace.FlushSink.
-func (f *ClusterFrontend[K, V]) finish(start time.Time, ops, submitted, errCount int, queueWait, maxQueueWait time.Duration) {
-	flushTime := time.Since(start)
-	if sink, ok := f.cfg.Trace.(trace.FlushSink); ok {
-		sink.Flush(trace.FlushStat{
-			Ops:          ops,
-			Submitted:    submitted,
-			QueueWait:    queueWait,
-			MaxQueueWait: maxQueueWait,
-			FlushTime:    flushTime,
-		})
-	}
-	f.mu.Lock()
-	st := &f.stats
-	st.Ops += int64(ops)
-	st.Flushes++
-	st.Submitted += int64(submitted)
-	if ops > st.MaxFlush {
-		st.MaxFlush = ops
-	}
-	st.QueueWait += queueWait
-	if maxQueueWait > st.MaxQueueWait {
-		st.MaxQueueWait = maxQueueWait
-	}
-	st.FlushTime += flushTime
-	st.Errors += int64(errCount)
-	f.mu.Unlock()
+	return errs
 }

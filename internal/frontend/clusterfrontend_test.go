@@ -326,8 +326,8 @@ func TestClusterFrontendFlushTrace(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
+	f.Close() // Stats is final only after Close: the last flush is counted after its replies
 	st := f.Stats()
-	f.Close()
 	col := prof.Collector()
 	if col.Flushes != st.Flushes || col.Ops != st.Ops || col.Submitted != st.Submitted {
 		t.Fatalf("profile collector %+v disagrees with frontend stats %+v", col, st)

@@ -3,13 +3,11 @@ package frontend
 import (
 	"cmp"
 	"time"
-
-	"pimgo/internal/core"
-	"pimgo/internal/trace"
 )
 
-// flushWS is the collector-owned scratch for one flush. Every slice and the
-// map ping-pong to high-water capacity, so steady-state flushes allocate
+// flushWS is the collector-owned scratch for one flush: the batch
+// partitioned by kind, with conflicting writes coalesced. Every slice and
+// the map keep their high-water capacity, so steady-state flushes allocate
 // nothing.
 type flushWS[K cmp.Ordered, V any] struct {
 	// Write coalescing: wfut holds the flush's write futures in arrival
@@ -21,23 +19,20 @@ type flushWS[K cmp.Ordered, V any] struct {
 	wprev []int32
 	chain []int32
 
-	// Final writes submitted to the Map: the coalesced Upsert batch, the
-	// coalesced Delete batch, and for each its wfut index (to seed replay).
+	// Final writes submitted to the backend: the coalesced Upsert batch,
+	// the coalesced Delete batch, and for each its wfut index (to seed
+	// replay).
 	ukeys []K
 	uvals []V
 	ufin  []int32
-	ures  []bool
 	dkeys []K
 	dfin  []int32
-	dres  []bool
 
 	// Reads, demultiplexed positionally.
 	gkeys []K
 	gfut  []*future[K, V]
-	gres  []core.GetResult[V]
 	skeys []K
 	sfut  []*future[K, V]
-	sres  []core.SearchResult[K, V]
 }
 
 func (ws *flushWS[K, V]) init() { ws.widx = make(map[K]int32) }
@@ -65,9 +60,7 @@ func (ws *flushWS[K, V]) reset() {
 // partition sorts the batch into the workspace's per-kind sub-batches,
 // coalescing conflicting writes per key (last writer wins), and accumulates
 // the queue-wait statistics. It returns the number of ops that will reach
-// the backing store. Shared by the single-Map Frontend and the
-// ClusterFrontend — the coalescing semantics are identical; only what the
-// sub-batches are submitted to differs.
+// the backend.
 func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queueWait, maxQueueWait *time.Duration) (submitted int) {
 	ws.reset()
 	for _, fu := range batch {
@@ -114,195 +107,6 @@ func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queue
 	return len(ws.ukeys) + len(ws.dkeys) + len(ws.gkeys) + len(ws.skeys)
 }
 
-// flush executes one coalesced batch: sort ops by kind, coalesce conflicting
-// writes per key (last writer wins), run writes then reads through the Map,
-// and reply to every future. Error semantics mirror the core batch engine:
-// if a sub-batch fails, the error is delivered to every op of the flush not
-// yet answered, and — like core's unrecoverable-fault errors — writes of an
-// earlier sub-batch may already have been applied.
-func (f *Frontend[K, V]) flush(batch []*future[K, V]) {
-	if f.p != nil {
-		f.flushPipelined(batch)
-		return
-	}
-	start := time.Now()
-	ws := &f.ws
-	var queueWait, maxQueueWait time.Duration
-	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-
-	// Writes before reads: the flush's linearization applies every write,
-	// then evaluates every read against the post-write state.
-	if len(ws.ukeys) > 0 {
-		res, _, err := f.m.TryUpsertInto(ws.ukeys, ws.uvals, ws.ures)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.ures = res
-	}
-	if len(ws.dkeys) > 0 {
-		res, _, err := f.m.TryDeleteInto(ws.dkeys, ws.dres)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.dres = res
-	}
-
-	// The Map's reply to a final write tells us the key's presence at the
-	// start of the flush (upsert: inserted ⇒ absent; delete: found ⇒
-	// present). Replaying the key's op chain against that bit yields the
-	// exact reply every op — superseded or final — would have received had
-	// it run as its own batch.
-	for x, i := range ws.ufin {
-		ws.replay(i, !ws.ures[x])
-	}
-	for x, i := range ws.dfin {
-		ws.replay(i, ws.dres[x])
-	}
-
-	errs := 0
-	if len(ws.gkeys) > 0 {
-		res, _, err := f.m.TryGetInto(ws.gkeys, ws.gres)
-		if err != nil {
-			deliverErr(ws.gfut, err)
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
-			return
-		}
-		ws.gres = res
-		for i, fu := range ws.gfut {
-			fu.found = res[i].Found
-			fu.rval = res[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	if len(ws.skeys) > 0 {
-		res, _, err := f.m.TrySuccessorInto(ws.skeys, ws.sres)
-		if err != nil {
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, len(ws.sfut), queueWait, maxQueueWait)
-			return
-		}
-		ws.sres = res
-		for i, fu := range ws.sfut {
-			fu.found = res[i].Found
-			fu.rkey = res[i].Key
-			fu.rval = res[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	f.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
-}
-
-// flushPipelined is flush over a core.Pipeline (Config.Pipelined): all four
-// sub-batches are submitted up front, so each later sub-batch's CPU prep
-// (semisort, search sort, send construction) overlaps the earlier
-// sub-batches' PIM rounds. The pipeline executes strictly FIFO, so the
-// writes-before-reads linearization and every reply are bit-identical to
-// the serial flush.
-//
-// Error caveat (the one semantic difference, documented in
-// docs/FRONTEND.md): when a sub-batch fails, the later sub-batches of the
-// same flush were already in flight and may still execute against the Map
-// before the error is delivered — the serial flush stops submitting at the
-// first failure. Replies are unchanged (every not-yet-answered op of the
-// flush receives the error, and later sub-batches' results are discarded);
-// only the Map's post-error state can differ, which core's unrecoverable
-// errors already leave unspecified.
-func (f *Frontend[K, V]) flushPipelined(batch []*future[K, V]) {
-	start := time.Now()
-	ws := &f.ws
-	var queueWait, maxQueueWait time.Duration
-	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-
-	var utk, dtk, gtk, stk *core.PipeTicket[K, V]
-	if len(ws.ukeys) > 0 {
-		utk = f.p.SubmitUpsert(ws.ukeys, ws.uvals, ws.ures)
-	}
-	if len(ws.dkeys) > 0 {
-		dtk = f.p.SubmitDelete(ws.dkeys, ws.dres)
-	}
-	if len(ws.gkeys) > 0 {
-		gtk = f.p.SubmitGet(ws.gkeys, ws.gres)
-	}
-	if len(ws.skeys) > 0 {
-		stk = f.p.SubmitSuccessor(ws.skeys, ws.sres)
-	}
-
-	// Wait in submission order. Every submitted ticket is awaited even on
-	// error, so the pipeline's slots always cycle back.
-	var resU, resD, resG, resS core.PipeResult[K, V]
-	if utk != nil {
-		resU = utk.Wait()
-	}
-	if dtk != nil {
-		resD = dtk.Wait()
-	}
-	if gtk != nil {
-		resG = gtk.Wait()
-	}
-	if stk != nil {
-		resS = stk.Wait()
-	}
-
-	if resU.Err != nil {
-		deliverErr(batch, resU.Err)
-		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-		return
-	}
-	if utk != nil {
-		ws.ures = resU.Bools
-	}
-	if resD.Err != nil {
-		deliverErr(batch, resD.Err)
-		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-		return
-	}
-	if dtk != nil {
-		ws.dres = resD.Bools
-	}
-
-	for x, i := range ws.ufin {
-		ws.replay(i, !ws.ures[x])
-	}
-	for x, i := range ws.dfin {
-		ws.replay(i, ws.dres[x])
-	}
-
-	if resG.Err != nil {
-		deliverErr(ws.gfut, resG.Err)
-		deliverErr(ws.sfut, resG.Err)
-		f.finish(start, len(batch), submitted, len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
-		return
-	}
-	if gtk != nil {
-		ws.gres = resG.Gets
-		for i, fu := range ws.gfut {
-			fu.found = ws.gres[i].Found
-			fu.rval = ws.gres[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	if resS.Err != nil {
-		deliverErr(ws.sfut, resS.Err)
-		f.finish(start, len(batch), submitted, len(ws.sfut), queueWait, maxQueueWait)
-		return
-	}
-	if stk != nil {
-		ws.sres = resS.Searches
-		for i, fu := range ws.sfut {
-			fu.found = ws.sres[i].Found
-			fu.rkey = ws.sres[i].Key
-			fu.rval = ws.sres[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	f.finish(start, len(batch), submitted, 0, queueWait, maxQueueWait)
-}
-
 // replay walks one key's write chain (ending at wfut index last) in arrival
 // order, starting from the key's presence at flush start, and replies to
 // every write future in the chain.
@@ -325,7 +129,7 @@ func (ws *flushWS[K, V]) replay(last int32, present bool) {
 }
 
 // failChain answers every write future in one key's chain (ending at wfut
-// index last) with err, returning the number answered. The ClusterFrontend
+// index last) with err, returning the number answered. The cluster backend
 // uses it when a final write lands on a down shard: the key's presence is
 // unknowable, so no op in the chain can be replayed.
 func (ws *flushWS[K, V]) failChain(last int32, err error) int {
@@ -345,34 +149,4 @@ func deliverErr[K cmp.Ordered, V any](futs []*future[K, V], err error) {
 		fu.err = err
 		fu.ready <- struct{}{}
 	}
-}
-
-// finish records the flush in the collector stats and emits a FlushStat to
-// the Map's trace sink if it implements trace.FlushSink.
-func (f *Frontend[K, V]) finish(start time.Time, ops, submitted, errs int, queueWait, maxQueueWait time.Duration) {
-	flushTime := time.Since(start)
-	if sink, ok := f.m.TraceSink().(trace.FlushSink); ok {
-		sink.Flush(trace.FlushStat{
-			Ops:          ops,
-			Submitted:    submitted,
-			QueueWait:    queueWait,
-			MaxQueueWait: maxQueueWait,
-			FlushTime:    flushTime,
-		})
-	}
-	f.mu.Lock()
-	st := &f.stats
-	st.Ops += int64(ops)
-	st.Flushes++
-	st.Submitted += int64(submitted)
-	if ops > st.MaxFlush {
-		st.MaxFlush = ops
-	}
-	st.QueueWait += queueWait
-	if maxQueueWait > st.MaxQueueWait {
-		st.MaxQueueWait = maxQueueWait
-	}
-	st.FlushTime += flushTime
-	st.Errors += int64(errs)
-	f.mu.Unlock()
 }

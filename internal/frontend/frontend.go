@@ -6,14 +6,20 @@
 // frontend turns the single-caller batch engine into a serving system:
 // arbitrarily many client goroutines submit one operation at a time
 // (Get/Upsert/Delete/Successor), a single collector goroutine coalesces
-// them into time/size-bounded batches, runs the batches through the Map,
-// and demultiplexes the replies back to the waiting callers through pooled
-// futures. In steady state the enqueue/reply path allocates nothing.
+// them into time/size-bounded batches, runs the batches through the
+// backend, and demultiplexes the replies back to the waiting callers
+// through pooled futures. In steady state the enqueue/reply path allocates
+// nothing.
 //
-// Two frontends share the machinery: Frontend drives one core.Map, and
-// ClusterFrontend (clusterfrontend.go) drives an elastic cluster.Cluster —
-// same coalescing semantics, per-shard sub-batches via the cluster's
-// scatter/gather, plus a background rebalance control loop.
+// One collector, two backends: Frontend drives one core.Map, and
+// ClusterFrontend (clusterfrontend.go) drives an elastic cluster.Cluster,
+// adding a background rebalance loop as a hook the collector runs between
+// flushes. Intake, scheduling, Close and flush accounting are the same
+// code (collector.go); only the flush body differs, and with it the reply
+// timing. The Map backend runs the Upsert, Delete, Get and Successor
+// sub-batches in turn and answers each kind as soon as its sub-batch
+// returns; the cluster backend runs all four in one Cluster.TryFlush and
+// answers once it returns.
 //
 // # Coalescing semantics
 //
@@ -37,20 +43,20 @@
 //
 // # Scheduling
 //
-// The collector flushes as soon as the Map is idle and ops are pending
-// (the low-latency fast path), and immediately once MaxBatch ops have
-// accumulated. Config.MaxWait adds an optional dwell after the first op
-// of a forming batch, trading latency for larger (cheaper per-op)
+// The collector flushes as soon as the backend is idle and ops are
+// pending (the low-latency fast path), and immediately once MaxBatch ops
+// have accumulated. Config.MaxWait adds an optional dwell after the first
+// op of a forming batch, trading latency for larger (cheaper per-op)
 // batches. While a flush executes, newly arriving ops pile up into the
 // next batch — under load, batching emerges without any timer.
 package frontend
 
 import (
 	"cmp"
-	"runtime"
 	"time"
 
 	"pimgo/internal/core"
+	"pimgo/internal/trace"
 )
 
 // Config tunes the collector. The zero value selects the defaults.
@@ -66,56 +72,11 @@ type Config struct {
 	// form anyway, because ops arriving during a flush coalesce into the
 	// next one.
 	MaxWait time.Duration
-	// Pipelined drives the Map through a core.Pipeline: each flush submits
-	// its write and read sub-batches back-to-back, overlapping a later
-	// sub-batch's CPU prep with an earlier one's PIM rounds. Replies and
-	// coalescing semantics are unchanged (the pipeline executes FIFO); see
-	// the error caveat on flushPipelined and docs/PIPELINE.md.
-	Pipelined bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	}
-	return c
-}
-
-// opKind discriminates the future's operation.
-type opKind uint8
-
-const (
-	opGet opKind = iota
-	opUpsert
-	opDelete
-	opSucc
-)
-
-// future is one in-flight client operation: the request fields, the reply
-// fields, and a one-slot channel the collector signals when the reply is
-// ready. Futures are pooled; the steady-state enqueue/reply path reuses
-// them without allocating.
-type future[K cmp.Ordered, V any] struct {
-	ready chan struct{}
-
-	kind opKind
-	key  K
-	val  V
-	enq  time.Time
-
-	// Reply fields. found carries Get/Successor presence, Upsert's
-	// "inserted", and Delete's "was present".
-	found bool
-	rkey  K
-	rval  V
-	err   error
 }
 
 // Stats reports the collector's accumulated behaviour; read with
-// Frontend.Stats.
+// Frontend.Stats. A flush is counted once its last reply is out, and the
+// counts are final once Close has returned.
 type Stats struct {
 	// Ops is the number of client operations completed (including ops
 	// answered with an error).
@@ -143,152 +104,106 @@ type Stats struct {
 // batch calls on the same Map while the frontend is open race with the
 // collector and fail with core.ErrConcurrentBatch.
 type Frontend[K cmp.Ordered, V any] struct {
-	intake[K, V]
-
-	m   *core.Map[K, V]
-	cfg Config
-
-	stats Stats // guarded by intake.mu
-
-	ws flushWS[K, V]        // collector-owned scratch
-	p  *core.Pipeline[K, V] // non-nil iff Config.Pipelined
+	collector[K, V]
+	mb mapBackend[K, V]
 }
 
 // New starts a collector over m. The frontend takes over as the Map's sole
 // driver; use Close to stop it (the Map itself is left open — closing it
 // remains the caller's responsibility).
 func New[K cmp.Ordered, V any](m *core.Map[K, V], cfg Config) *Frontend[K, V] {
-	cfg = cfg.withDefaults()
-	f := &Frontend[K, V]{m: m, cfg: cfg}
-	f.intake.init(cfg.MaxBatch)
-	f.ws.init()
-	if cfg.Pipelined {
-		f.p = core.NewPipeline(m)
-	}
+	f := &Frontend[K, V]{mb: mapBackend[K, V]{m: m}}
+	f.init(&f.mb, cfg.MaxBatch, cfg.MaxWait)
 	go f.run()
 	return f
 }
 
 // Map returns the underlying Map (read-only introspection — Len, stats,
 // trace sinks; do not run batches on it while the frontend is open).
-func (f *Frontend[K, V]) Map() *core.Map[K, V] { return f.m }
+func (f *Frontend[K, V]) Map() *core.Map[K, V] { return f.mb.m }
 
-// Stats returns a snapshot of the collector statistics.
-func (f *Frontend[K, V]) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+// mapBackend flushes into one core.Map, keeping reply buffers across
+// flushes so steady-state flushes allocate nothing.
+type mapBackend[K cmp.Ordered, V any] struct {
+	m    *core.Map[K, V]
+	ures []bool
+	dres []bool
+	gres []core.GetResult[V]
+	sres []core.SearchResult[K, V]
 }
 
-// Close drains the collector — every already-enqueued op still receives
-// its reply — and stops it. Ops submitted after Close fail with
-// core.ErrClosed. Close is idempotent and safe to call concurrently with
-// client ops: exactly one caller (the one that performed the shutdown)
-// returns nil, every other call — second, concurrent, or racing in-flight
-// ops — returns core.ErrClosed deterministically after the collector has
-// fully drained. The underlying Map stays open.
-func (f *Frontend[K, V]) Close() error {
-	f.mu.Lock()
-	already := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if already {
-		<-f.done
-		if f.p != nil {
-			f.p.Close() // idempotent; racing closers are safe
-		}
-		return core.ErrClosed
-	}
-	f.wake()
-	<-f.done
-	if f.p != nil {
-		// The collector has drained; closing the pipeline hands the Map's
-		// workspace back for serial use.
-		f.p.Close()
-	}
-	return nil
+// flushSink returns the Map's trace sink if it takes FlushStat events; it
+// is read per flush, so Map.SetTraceSink takes effect at the next flush.
+func (b *mapBackend[K, V]) flushSink() trace.FlushSink {
+	s, _ := b.m.TraceSink().(trace.FlushSink)
+	return s
 }
 
-// run is the collector goroutine: wait for ops, optionally dwell to let the
-// batch fill, swap the double buffer, flush in MaxBatch chunks.
-func (f *Frontend[K, V]) run() {
-	defer close(f.done)
-	var tmr *time.Timer
-	for {
-		f.mu.Lock()
-		for len(f.pending) == 0 {
-			if f.closed {
-				f.mu.Unlock()
-				return
-			}
-			f.mu.Unlock()
-			<-f.notify
-			f.mu.Lock()
+// flush runs the sub-batches through the Map writes first — Upsert, Delete,
+// Get, Successor — and answers each kind as soon as its sub-batch returns,
+// so a flush's Gets are not held back by its Successors. Errors follow the
+// batch engine: a failed write sub-batch fails every op of the flush (the
+// chains cannot be replayed; writes of an earlier sub-batch may already
+// have been applied), a failed Get sub-batch fails the Gets and the
+// Successors not yet run, and a failed Successor sub-batch fails only the
+// Successors.
+func (b *mapBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) int {
+	if len(ws.ukeys) > 0 {
+		res, _, err := b.m.TryUpsertInto(ws.ukeys, ws.uvals, b.ures)
+		if err != nil {
+			deliverErr(batch, err)
+			return len(batch)
 		}
-		// Gather: yield to runnable client goroutines until the forming
-		// batch stops growing or fills. A channel wakeup schedules the
-		// collector immediately after the first enqueuer blocks, which
-		// would flush batches of one op each; ceding the processor lets
-		// every runnable client append first. When no clients are runnable
-		// the yield returns immediately — the idle fast path stays fast.
-		for {
-			n := len(f.pending)
-			if n >= f.cfg.MaxBatch || f.closed {
-				break
-			}
-			f.mu.Unlock()
-			runtime.Gosched()
-			f.mu.Lock()
-			if len(f.pending) == n {
-				break
-			}
-		}
-		if f.cfg.MaxWait > 0 {
-			// Dwell: hold the forming batch open until it fills, the
-			// deadline passes, or the frontend starts closing.
-			deadline := f.pending[0].enq.Add(f.cfg.MaxWait)
-			for len(f.pending) < f.cfg.MaxBatch && !f.closed {
-				d := time.Until(deadline)
-				if d <= 0 {
-					break
-				}
-				f.mu.Unlock()
-				if tmr == nil {
-					tmr = time.NewTimer(d)
-				} else {
-					tmr.Reset(d)
-				}
-				expired := false
-				select {
-				case <-f.notify:
-					if !tmr.Stop() {
-						<-tmr.C
-					}
-				case <-tmr.C:
-					expired = true
-				}
-				f.mu.Lock()
-				if expired {
-					break
-				}
-			}
-		}
-		batch := f.pending
-		f.pending = f.spare
-		f.spare = nil
-		f.mu.Unlock()
-
-		for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-			end := off + f.cfg.MaxBatch
-			if end > len(batch) {
-				end = len(batch)
-			}
-			f.flush(batch[off:end])
-		}
-
-		clear(batch) // drop future refs before parking the buffer
-		f.mu.Lock()
-		f.spare = batch[:0]
-		f.mu.Unlock()
+		b.ures = res
 	}
+	if len(ws.dkeys) > 0 {
+		res, _, err := b.m.TryDeleteInto(ws.dkeys, b.dres)
+		if err != nil {
+			deliverErr(batch, err)
+			return len(batch)
+		}
+		b.dres = res
+	}
+
+	// The Map's reply to a final write tells us the key's presence at the
+	// start of the flush (upsert: inserted ⇒ absent; delete: found ⇒
+	// present). Replaying the key's op chain against that bit yields the
+	// exact reply every op — superseded or final — would have received had
+	// it run as its own batch.
+	for x, i := range ws.ufin {
+		ws.replay(i, !b.ures[x])
+	}
+	for x, i := range ws.dfin {
+		ws.replay(i, b.dres[x])
+	}
+
+	if len(ws.gkeys) > 0 {
+		res, _, err := b.m.TryGetInto(ws.gkeys, b.gres)
+		if err != nil {
+			deliverErr(ws.gfut, err)
+			deliverErr(ws.sfut, err)
+			return len(ws.gfut) + len(ws.sfut)
+		}
+		b.gres = res
+		for i, fu := range ws.gfut {
+			fu.found = res[i].Found
+			fu.rval = res[i].Value
+			fu.ready <- struct{}{}
+		}
+	}
+	if len(ws.skeys) > 0 {
+		res, _, err := b.m.TrySuccessorInto(ws.skeys, b.sres)
+		if err != nil {
+			deliverErr(ws.sfut, err)
+			return len(ws.sfut)
+		}
+		b.sres = res
+		for i, fu := range ws.sfut {
+			fu.found = res[i].Found
+			fu.rkey = res[i].Key
+			fu.rval = res[i].Value
+			fu.ready <- struct{}{}
+		}
+	}
+	return 0
 }

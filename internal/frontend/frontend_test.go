@@ -123,6 +123,82 @@ func TestFlushWritesBeforeReads(t *testing.T) {
 	}
 }
 
+// TestFrontendFlushErrorGranularity: on the single-Map flush a failed write
+// sub-batch fails every op of the flush; a failed Get sub-batch fails only
+// the reads, while the writes keep their replayed replies; a failed
+// Successor sub-batch fails only the Successors. Each case kills the Map's
+// machine at the first round of one sub-batch, counted on a fault-free
+// twin Map that runs the same sub-batches directly.
+func TestFrontendFlushErrorGranularity(t *testing.T) {
+	seedKeys, seedVals := []uint64{10, 30}, []int64{1, 3}
+	// The flush writes no key twice, so its coalesced sub-batches are
+	// exactly these: upsert 20, delete 30, get 10 and 20, successor 15.
+	twin := newTestMap(t, 4)
+	defer twin.Close()
+	rounds := twin.Machine().Metrics().Rounds // construction
+	_, st := twin.Upsert(seedKeys, seedVals)
+	rounds += st.Rounds
+	var first [4]int64 // first round of the upsert, delete, get, successor sub-batch
+	for k, run := range []func() core.BatchStats{
+		func() core.BatchStats { _, st := twin.Upsert([]uint64{20}, []int64{2}); return st },
+		func() core.BatchStats { _, st := twin.Delete([]uint64{30}); return st },
+		func() core.BatchStats { _, st := twin.Get([]uint64{10, 20}); return st },
+		func() core.BatchStats { _, st := twin.Successor([]uint64{15}); return st },
+	} {
+		first[k] = rounds + 1
+		rounds += run().Rounds
+	}
+
+	cases := []struct {
+		name   string
+		killAt int64
+		failed int // ops answered with the error: a suffix of u, d, g1, g2, s
+	}{
+		{"none", rounds + 1, 0},
+		{"upsert", first[0], 5},
+		{"delete", first[1], 5},
+		{"get", first[2], 3},
+		{"successor", first[3], 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestMap(t, 4, func(c *core.Config) { c.Fault = pim.KillPlan(tc.killAt, nil) })
+			defer m.Close()
+			m.Upsert(seedKeys, seedVals)
+			f := stoppedFrontend(t, m, Config{})
+			u, d := fut(opUpsert, 20, 2), fut(opDelete, 30, 0)
+			g1, g2, s := fut(opGet, 10, 0), fut(opGet, 20, 0), fut(opSucc, 15, 0)
+			futs := []*future[uint64, int64]{u, d, g1, g2, s}
+			f.flush(futs)
+
+			ok := len(futs) - tc.failed
+			for _, fu := range futs[ok:] {
+				select {
+				case <-fu.ready:
+				default:
+					t.Fatalf("future (kind %d key %d) never answered", fu.kind, fu.key)
+				}
+				if !errors.Is(fu.err, pim.ErrMachineKilled) {
+					t.Fatalf("future (kind %d key %d): err = %v, want ErrMachineKilled", fu.kind, fu.key, fu.err)
+				}
+			}
+			want := []struct {
+				found bool
+				key   uint64
+				val   int64
+			}{{true, 0, 0}, {true, 0, 0}, {true, 0, 1}, {true, 0, 2}, {true, 20, 2}}
+			for i, fu := range futs[:ok] {
+				if found, k, v := reap(t, fu); found != want[i].found || k != want[i].key || v != want[i].val {
+					t.Errorf("op %d (kind %d key %d) = (%v, %d, %d), want %+v", i, fu.kind, fu.key, found, k, v, want[i])
+				}
+			}
+			if st := f.Stats(); st.Errors != int64(tc.failed) || st.Ops != 5 {
+				t.Fatalf("stats = %+v, want Ops 5 Errors %d", st, tc.failed)
+			}
+		})
+	}
+}
+
 // TestFrontendBasic: single-client round trip through the live collector.
 func TestFrontendBasic(t *testing.T) {
 	m := newTestMap(t, 4)
@@ -246,7 +322,7 @@ func TestFrontendCloseDeterministic(t *testing.T) {
 }
 
 // pointAPI is the single-key client surface both frontends promote from
-// intake; tests that only need Get/Upsert/Delete/Successor run unchanged
+// the collector; tests that only need Get/Upsert/Delete/Successor run unchanged
 // against a Frontend or a ClusterFrontend.
 type pointAPI interface {
 	Get(uint64) (core.GetResult[int64], error)
@@ -448,77 +524,6 @@ func TestFrontendChaosSoak(t *testing.T) {
 	}
 }
 
-// TestFrontendPipelinedOracle: the concurrent-oracle workload with the
-// collector driving the Map through a core.Pipeline (Config.Pipelined).
-// Reply exactness is the whole contract — the pipelined flush must be
-// observationally identical to the serial flush — so every client reply
-// must still match its sequential oracle, under several batch shapes.
-func TestFrontendPipelinedOracle(t *testing.T) {
-	for _, cfg := range []Config{
-		{Pipelined: true},
-		{Pipelined: true, MaxBatch: 64},
-		{Pipelined: true, MaxWait: 200 * time.Microsecond},
-	} {
-		m := newTestMap(t, 8)
-		f := New(m, cfg)
-		var wg sync.WaitGroup
-		clients, ops := 16, 200
-		if testing.Short() {
-			clients, ops = 4, 50
-		}
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				shardClient(t, f, c, ops)
-			}(c)
-		}
-		wg.Wait()
-		st := f.Stats()
-		f.Close()
-		if st.Ops == 0 || st.Flushes == 0 {
-			t.Fatalf("cfg %+v: collector saw no traffic: %+v", cfg, st)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("cfg %+v: invariants: %v", cfg, err)
-		}
-		// Close handed the Map back: serial batches work again.
-		if _, bst := m.Get([]uint64{1, 2, 3}); bst.Batch != 3 {
-			t.Fatalf("cfg %+v: serial Get after pipelined Close: %+v", cfg, bst)
-		}
-		m.Close()
-	}
-}
-
-// TestFrontendPipelinedChaos: the pipelined collector over a chaos-faulted
-// Map. The pipeline's FIFO executor drives the same reliable transport, so
-// every injected fault must stay hidden and every reply exact.
-func TestFrontendPipelinedChaos(t *testing.T) {
-	m := newTestMap(t, 8, func(c *core.Config) { c.Fault = pim.ChaosPlan(0xFA17ED) })
-	f := New(m, Config{Pipelined: true, MaxBatch: 128})
-	var wg sync.WaitGroup
-	clients, ops := 16, 250
-	if testing.Short() {
-		clients, ops = 4, 60
-	}
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			shardClient(t, f, c, ops)
-		}(c)
-	}
-	wg.Wait()
-	f.Close()
-	fs := m.FaultStats()
-	if fs.SendsDropped == 0 || fs.SendsDuplicated == 0 {
-		t.Fatalf("chaos plan never fired under pipelined frontend traffic: %+v", fs)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-}
-
 // TestFrontendFlushTrace: a Profile installed on the Map receives FlushStat
 // events alongside the machine stream, and its collector totals agree with
 // the frontend's own Stats.
@@ -536,8 +541,8 @@ func TestFrontendFlushTrace(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	f.Close() // Stats is final only after Close: the last flush is counted after its replies
 	st := f.Stats()
-	f.Close()
 	c := p.Collector()
 	if c.Flushes != st.Flushes || c.Ops != st.Ops || c.Submitted != st.Submitted {
 		t.Fatalf("profile collector %+v disagrees with frontend stats %+v", c, st)
@@ -556,13 +561,13 @@ func TestFrontendFlushTrace(t *testing.T) {
 func TestFrontendErrorDelivery(t *testing.T) {
 	m := newTestMap(t, 4, func(c *core.Config) { c.Fault = pim.DropPlan(7, 10000) })
 	f := New(m, Config{})
-	defer f.Close()
 	for i := 0; i < 3; i++ {
 		_, err := f.Get(uint64(i))
 		if !errors.Is(err, core.ErrFaultUnrecoverable) {
 			t.Fatalf("attempt %d: err = %v, want ErrFaultUnrecoverable", i, err)
 		}
 	}
+	f.Close()
 	st := f.Stats()
 	if st.Errors != 3 {
 		t.Fatalf("Errors = %d, want 3", st.Errors)

@@ -2,35 +2,43 @@ package frontend
 
 import (
 	"cmp"
-	"sync"
 	"time"
 
 	"pimgo/internal/core"
 )
 
-// intake is the client-facing half of a collector-based frontend, shared by
-// the single-Map Frontend and the cluster-backed ClusterFrontend: the
-// pending/spare double buffer, the pooled futures, and the four public
-// single-key operations. The owner supplies the collector goroutine that
-// swaps and flushes pending; intake supplies everything up to that hand-off,
-// so both frontends expose the identical zero-alloc enqueue/reply contract.
-type intake[K cmp.Ordered, V any] struct {
-	mu      sync.Mutex
-	pending []*future[K, V] // client-appended, collector-swapped
-	spare   []*future[K, V] // the other half of the double buffer
-	closed  bool
+// This file is the client-facing half of the collector: the pooled futures
+// and the four public single-key operations, identical for both frontends,
+// so they share one zero-alloc enqueue/reply contract.
 
-	notify chan struct{} // cap 1: "pending (or control work) may be ready"
-	done   chan struct{} // closed when the collector exits
-	pool   chan *future[K, V]
-}
+// opKind discriminates the future's operation.
+type opKind uint8
 
-func (q *intake[K, V]) init(maxBatch int) {
-	q.pending = make([]*future[K, V], 0, maxBatch)
-	q.spare = make([]*future[K, V], 0, maxBatch)
-	q.notify = make(chan struct{}, 1)
-	q.done = make(chan struct{})
-	q.pool = make(chan *future[K, V], poolCap(maxBatch))
+const (
+	opGet opKind = iota
+	opUpsert
+	opDelete
+	opSucc
+)
+
+// future is one in-flight client operation: the request fields, the reply
+// fields, and a one-slot channel the collector signals when the reply is
+// ready. Futures are pooled; the steady-state enqueue/reply path reuses
+// them without allocating.
+type future[K cmp.Ordered, V any] struct {
+	ready chan struct{}
+
+	kind opKind
+	key  K
+	val  V
+	enq  time.Time
+
+	// Reply fields. found carries Get/Successor presence, Upsert's
+	// "inserted", and Delete's "was present".
+	found bool
+	rkey  K
+	rval  V
+	err   error
 }
 
 // poolCap sizes the future free-list: enough for several flushes' worth of
@@ -44,9 +52,9 @@ func poolCap(maxBatch int) int {
 }
 
 // take pops a pooled future (or allocates one on burst).
-func (q *intake[K, V]) take() *future[K, V] {
+func (c *collector[K, V]) take() *future[K, V] {
 	select {
-	case fu := <-q.pool:
+	case fu := <-c.pool:
 		fu.err = nil
 		return fu
 	default:
@@ -56,99 +64,99 @@ func (q *intake[K, V]) take() *future[K, V] {
 
 // put recycles a future, zeroing value-carrying fields so the pool does not
 // retain caller data.
-func (q *intake[K, V]) put(fu *future[K, V]) {
+func (c *collector[K, V]) put(fu *future[K, V]) {
 	var zk K
 	var zv V
 	fu.key, fu.rkey = zk, zk
 	fu.val, fu.rval = zv, zv
 	fu.err = nil
 	select {
-	case q.pool <- fu:
+	case c.pool <- fu:
 	default: // pool full: let the GC have it
 	}
 }
 
 // enqueue appends fu to the pending batch and wakes the collector.
-func (q *intake[K, V]) enqueue(fu *future[K, V]) error {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
+func (c *collector[K, V]) enqueue(fu *future[K, V]) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return core.ErrClosed
 	}
 	fu.enq = time.Now()
-	q.pending = append(q.pending, fu)
-	q.mu.Unlock()
-	q.wake()
+	c.pending = append(c.pending, fu)
+	c.mu.Unlock()
+	c.wake()
 	return nil
 }
 
 // wake pokes the collector's wakeup channel (lossy: cap 1 is enough, the
 // collector re-checks all work sources every iteration).
-func (q *intake[K, V]) wake() {
+func (c *collector[K, V]) wake() {
 	select {
-	case q.notify <- struct{}{}:
+	case c.notify <- struct{}{}:
 	default:
 	}
 }
 
 // Get returns the key's presence and value as of this op's flush (after
 // that flush's writes).
-func (q *intake[K, V]) Get(key K) (core.GetResult[V], error) {
-	fu := q.take()
+func (c *collector[K, V]) Get(key K) (core.GetResult[V], error) {
+	fu := c.take()
 	fu.kind, fu.key = opGet, key
-	if err := q.enqueue(fu); err != nil {
-		q.put(fu)
+	if err := c.enqueue(fu); err != nil {
+		c.put(fu)
 		return core.GetResult[V]{}, err
 	}
 	<-fu.ready
 	res := core.GetResult[V]{Found: fu.found, Value: fu.rval}
 	err := fu.err
-	q.put(fu)
+	c.put(fu)
 	return res, err
 }
 
 // Upsert inserts or overwrites the key, reporting whether it was inserted
 // (absent at this op's point in its flush's arrival order).
-func (q *intake[K, V]) Upsert(key K, val V) (bool, error) {
-	fu := q.take()
+func (c *collector[K, V]) Upsert(key K, val V) (bool, error) {
+	fu := c.take()
 	fu.kind, fu.key, fu.val = opUpsert, key, val
-	if err := q.enqueue(fu); err != nil {
-		q.put(fu)
+	if err := c.enqueue(fu); err != nil {
+		c.put(fu)
 		return false, err
 	}
 	<-fu.ready
 	inserted, err := fu.found, fu.err
-	q.put(fu)
+	c.put(fu)
 	return inserted, err
 }
 
 // Delete removes the key, reporting whether it was present (at this op's
 // point in its flush's arrival order).
-func (q *intake[K, V]) Delete(key K) (bool, error) {
-	fu := q.take()
+func (c *collector[K, V]) Delete(key K) (bool, error) {
+	fu := c.take()
 	fu.kind, fu.key = opDelete, key
-	if err := q.enqueue(fu); err != nil {
-		q.put(fu)
+	if err := c.enqueue(fu); err != nil {
+		c.put(fu)
 		return false, err
 	}
 	<-fu.ready
 	present, err := fu.found, fu.err
-	q.put(fu)
+	c.put(fu)
 	return present, err
 }
 
 // Successor returns the smallest key ≥ key with its value, as of this op's
 // flush (after that flush's writes).
-func (q *intake[K, V]) Successor(key K) (core.SearchResult[K, V], error) {
-	fu := q.take()
+func (c *collector[K, V]) Successor(key K) (core.SearchResult[K, V], error) {
+	fu := c.take()
 	fu.kind, fu.key = opSucc, key
-	if err := q.enqueue(fu); err != nil {
-		q.put(fu)
+	if err := c.enqueue(fu); err != nil {
+		c.put(fu)
 		return core.SearchResult[K, V]{}, err
 	}
 	<-fu.ready
 	res := core.SearchResult[K, V]{Found: fu.found, Key: fu.rkey, Value: fu.rval}
 	err := fu.err
-	q.put(fu)
+	c.put(fu)
 	return res, err
 }

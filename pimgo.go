@@ -151,30 +151,6 @@ func NewFrontend[K cmp.Ordered, V any](m *Map[K, V], cfg FrontendConfig) *Fronte
 	return frontend.New(m, cfg)
 }
 
-// Pipeline is the two-deep batch execution pipeline over one Map: while
-// batch k's PIM rounds run on a dedicated executor goroutine, batch k+1's
-// CPU prefix (sort/semisort/dedup, send construction) runs on the
-// submitter's goroutine against a second workspace. Replies, BatchStats,
-// and trace events are bit-identical to running the same batches serially.
-// See docs/PIPELINE.md for the hand-off contract.
-type Pipeline[K cmp.Ordered, V any] = core.Pipeline[K, V]
-
-// PipelineTicket is the future of one pipelined batch; resolve it with
-// Wait (single use).
-type PipelineTicket[K cmp.Ordered, V any] = core.PipeTicket[K, V]
-
-// PipelineResult is the outcome of one pipelined batch: the op's replies,
-// its BatchStats, and the typed error of a failed batch.
-type PipelineResult[K cmp.Ordered, V any] = core.PipeResult[K, V]
-
-// NewPipeline starts a pipeline over m and takes over as the Map's sole
-// driver; stop it with Pipeline.Close (the Map itself stays open and is
-// serially usable again afterwards). Direct batches on m while the
-// pipeline is open are misuse (see docs/PIPELINE.md).
-func NewPipeline[K cmp.Ordered, V any](m *Map[K, V]) *Pipeline[K, V] {
-	return core.NewPipeline(m)
-}
-
 // FaultPlan injects deterministic message/module faults into the simulated
 // machine; install one via Config.Fault. Nil means the paper's reliable
 // network (the default, with zero simulation overhead).
@@ -298,22 +274,6 @@ type TraceFlushSink = trace.FlushSink
 // events.
 type TraceCollectorTotals = trace.CollectorTotals
 
-// TracePipeStat describes one pipelined batch's scheduling: prep wall time
-// on the submitter, wait for the executor (a positive wait is overlap with
-// an earlier batch's rounds), and exec wall time. Wall clock is the honest
-// unit here — the pipeline schedules real goroutines outside the simulated
-// machine — so determinism oracles must exclude it (docs/PIPELINE.md).
-type TracePipeStat = trace.PipeStat
-
-// TracePipeSink is optionally implemented by trace sinks that want the
-// Pipeline's per-batch scheduling events in addition to the machine stream;
-// TraceProfile implements it (read back with TraceProfile.Pipeline).
-type TracePipeSink = trace.PipeSink
-
-// TracePipelineTotals is TraceProfile's aggregate over Pipeline scheduling
-// events.
-type TracePipelineTotals = trace.PipelineTotals
-
 // TraceMigrationStat describes one shard's part in a published cluster
 // migration (epoch, slot delta, keys bulk-loaded, suffix batches replayed,
 // retries, model cost, or retirement), emitted to that shard's sink under
@@ -432,31 +392,6 @@ const (
 // router and every shard.
 func NewCluster[K cmp.Ordered, V any](cfg ClusterConfig, hash func(K) uint64) (*Cluster[K, V], error) {
 	return cluster.New[K, V](cfg, hash)
-}
-
-// ClusterPipeline is the two-deep pipeline over one Cluster: Submit* runs
-// the pure routing scatter on the caller's goroutine while a dedicated
-// executor fans earlier batches out to the shards strictly FIFO, so results,
-// per-key errors, and ClusterStats stay bit-identical to the serial Try*
-// schedule. While open it holds the cluster's batch gate (direct Try* fail
-// with ErrConcurrentBatch); Close releases the cluster for serial use.
-// Range operations are not pipelined — see docs/PIPELINE.md.
-type ClusterPipeline[K cmp.Ordered, V any] = cluster.ClusterPipeline[K, V]
-
-// ClusterPipelineTicket is the future of one pipelined cluster batch;
-// resolve it with Wait (single use).
-type ClusterPipelineTicket[K cmp.Ordered, V any] = cluster.ClusterTicket[K, V]
-
-// ClusterPipelineResult is the outcome of one pipelined cluster batch: the
-// serial entry point's (results, per-key errs, Stats) triple plus the typed
-// error of a rejected submission.
-type ClusterPipelineResult[K cmp.Ordered, V any] = cluster.ClusterPipeResult[K, V]
-
-// NewClusterPipeline opens a pipeline over c, holding its batch gate for
-// the pipeline's lifetime; it fails with ErrConcurrentBatch if a batch (or
-// another pipeline) is already in flight.
-func NewClusterPipeline[K cmp.Ordered, V any](c *Cluster[K, V]) (*ClusterPipeline[K, V], error) {
-	return cluster.NewClusterPipeline(c)
 }
 
 // ClusterMigrateOpts tunes one live migration (SplitShard, MergeShards, or

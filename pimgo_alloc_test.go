@@ -169,114 +169,6 @@ func TestZeroAllocFrontendUpsert(t *testing.T) {
 	}
 }
 
-// TestZeroAllocFrontendPipelinedGet: the frontend's single-op round trip
-// with the collector flushing through a core.Pipeline (Pipelined mode) must
-// stay allocation-free end to end — partition, closure-free pipeline
-// submits, ticket pool, and reply demultiplex all run warm.
-func TestZeroAllocFrontendPipelinedGet(t *testing.T) {
-	m, r := allocTestMap(4096)
-	f := NewFrontend(m, FrontendConfig{Pipelined: true})
-	defer f.Close()
-	keys := make([]uint64, 256)
-	for i := range keys {
-		keys[i] = 1 + r.Uint64n(keySpace)
-	}
-	for _, k := range keys {
-		if _, err := f.Get(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(allocRuns, func() {
-		if _, err := f.Get(keys[i%len(keys)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state pipelined frontend Get allocates %.1f times per op, want 0", avg)
-	}
-}
-
-// TestZeroAllocFrontendPipelinedUpsert is the pipelined write-side guard
-// (update path; inserts grow the structure and may allocate).
-func TestZeroAllocFrontendPipelinedUpsert(t *testing.T) {
-	m, r := allocTestMap(4096)
-	snapKeys, _, _ := m.Snapshot()
-	f := NewFrontend(m, FrontendConfig{Pipelined: true})
-	defer f.Close()
-	keys := make([]uint64, 256)
-	for i := range keys {
-		keys[i] = snapKeys[r.Uint64n(uint64(len(snapKeys)))]
-	}
-	for _, k := range keys {
-		if _, err := f.Upsert(k, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(allocRuns, func() {
-		if _, err := f.Upsert(keys[i%len(keys)], 2); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state pipelined frontend Upsert (update path) allocates %.1f times per op, want 0", avg)
-	}
-}
-
-// TestZeroAllocPipelineGet extends the guard across the pipelined path
-// (ISSUE 8): a steady-state Submit+Wait round trip — ticket pool, slot
-// cycling, prep on the second workspace, executor hand-off, reply delivery —
-// must allocate nothing. The two pipeline slots alternate between
-// submissions, so the warm-up loop pushes both workspaces to their
-// high-water marks. No PipeSink is installed, so the disabled wall-clock
-// branch is measured too.
-func TestZeroAllocPipelineGet(t *testing.T) {
-	m, r := allocTestMap(4096)
-	batches := batchesOf(r, allocRuns+2, 256)
-	p := NewPipeline(m)
-	defer p.Close()
-	var dst []GetResult[int64]
-	for _, b := range batches { // warm both slots, the ticket pool, and dst
-		res := p.SubmitGet(b, dst).Wait()
-		dst = res.Gets
-	}
-	i := 0
-	avg := testing.AllocsPerRun(allocRuns, func() {
-		res := p.SubmitGet(batches[i%len(batches)], dst).Wait()
-		dst = res.Gets
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state pipelined Get allocates %.1f times per batch, want 0", avg)
-	}
-}
-
-// TestZeroAllocPipelineSuccessor is the search-path pipelined guard: the
-// sort-heavy prep prefix runs on the submitter with workspace buffers only.
-func TestZeroAllocPipelineSuccessor(t *testing.T) {
-	m, r := allocTestMap(4096)
-	batches := batchesOf(r, allocRuns+2, 256)
-	p := NewPipeline(m)
-	defer p.Close()
-	var dst []SearchResult[uint64, int64]
-	for _, b := range batches {
-		res := p.SubmitSuccessor(b, dst).Wait()
-		dst = res.Searches
-	}
-	i := 0
-	avg := testing.AllocsPerRun(allocRuns, func() {
-		res := p.SubmitSuccessor(batches[i%len(batches)], dst).Wait()
-		dst = res.Searches
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state pipelined Successor allocates %.1f times per batch, want 0", avg)
-	}
-}
-
 func TestZeroAllocDelete(t *testing.T) {
 	// Deletion shrinks the structure, so the measured calls each delete a
 	// distinct, still-present batch. Two warm-up cycles of delete-all /
