@@ -85,7 +85,7 @@ rebalance:
 # refuse-on-divergence guard and single-Map baseline.
 clusterfrontend:
 	$(GO) test -run 'TestClusterFrontend|TestClusterFlush|TestLoadDeltaEdgeCases|TestRebalanceFromStaleWindow' -count=1 ./internal/frontend/ ./internal/cluster/
-	$(GO) test -race -run 'TestClusterFrontendChaosSoak|TestClusterFrontendCloseDeterministic|TestClusterFrontendRebalanceLoop' -count=1 ./internal/frontend/
+	$(GO) test -race -run 'TestClusterFrontendChaosSoak|TestClusterFrontendCloseDeterministic|TestClusterFrontendRebalanceLoop|TestClusterFrontendPointRepliesBeforeSuccessor' -count=1 ./internal/frontend/
 	$(GO) run ./cmd/pimbench clusterfrontend -out results/BENCH_clusterfrontend.json
 
 # Documentation gate: every intra-repo markdown link resolves, every

@@ -262,15 +262,6 @@ type shardWork[K cmp.Ordered, V any] struct {
 	rep    [flushKinds]shardReply[K, V]
 }
 
-// runAll runs the queued sub-batches back to back in position order.
-func (w *shardWork[K, V]) runAll(s *shard[K, V]) {
-	for k := range w.b {
-		if w.queued[k] {
-			s.run(&w.b[k], &w.rep[k])
-		}
-	}
-}
-
 // Flush is one coalesced flush for Cluster.TryFlush: an Upsert, a Delete, a
 // Get and a Successor sub-batch, any of which may be empty, plus the reply
 // buffers TryFlush fills. The replies are caller-owned: each is resized in
@@ -296,6 +287,19 @@ type Flush[K cmp.Ordered, V any] struct {
 	// it: nil when every shard served the sub-batch; otherwise a typed error
 	// at each failed position, whose result is zero.
 	UpsertErrs, DeleteErrs, GetErrs, SuccErrs []error
+
+	// OnShard, when non-nil, is called once for every shard that received
+	// point work, on the goroutine that ran the shard: after the shard's
+	// Upsert, Delete and Get shares, before its Successor share. ups, dels
+	// and gets are the submission indices (into UpsertKeys, DeleteKeys and
+	// GetKeys) the shard owns; uerr, derr and gerr are its error for each
+	// kind, nil where it served the kind. Upserted, Deleted and Gets already
+	// hold the shard's results at those indices (zero where the kind
+	// failed), and they do not change before TryFlush returns, so a caller
+	// can answer them while other shards still run. Calls for different
+	// shards run concurrently. The hook must not block or call into the
+	// cluster, and must not retain the index slices.
+	OnShard func(shard int, ups, dels, gets []int, uerr, derr, gerr error)
 }
 
 // New builds a cluster per cfg. hash is the key hasher shared by the router
@@ -492,11 +496,12 @@ func (c *Cluster[K, V]) resetWork(v *epochView[K, V]) []shardWork[K, V] {
 	return ws.work
 }
 
-// runShards runs every shard's queued sub-batches, shards in parallel: one
-// goroutine per shard with work, the calling goroutine driving the last.
-// Each shard's replies land in its own work slots, so assembly is by shard
-// index and deterministic regardless of goroutine scheduling.
-func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V]) {
+// runShards runs every shard's queued sub-batches through runShard, shards
+// in parallel: one goroutine per shard with work, the calling goroutine
+// driving the last. Each shard's replies land in its own work slots and, for
+// a flush f, at its own positions of f, so assembly is deterministic
+// regardless of goroutine scheduling. A range call passes a nil f.
+func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V], f *Flush[K, V]) {
 	var wg sync.WaitGroup
 	last := -1
 	for s := range work {
@@ -505,17 +510,71 @@ func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V]) {
 		}
 		if last >= 0 {
 			wg.Add(1)
-			go func(w *shardWork[K, V], sh *shard[K, V]) {
+			go func(s int) {
 				defer wg.Done()
-				w.runAll(sh)
-			}(&work[last], v.shards[last])
+				c.runShard(f, s, &work[s], v.shards[s])
+			}(last)
 		}
 		last = s
 	}
 	if last >= 0 {
-		work[last].runAll(v.shards[last])
+		c.runShard(f, last, &work[last], v.shards[last])
 	}
 	wg.Wait()
+}
+
+// runShard runs shard s's queued sub-batches back to back in position
+// order. For a flush, the shard's point replies go into f (and to
+// f.OnShard) between its point shares and its Successor share.
+func (c *Cluster[K, V]) runShard(f *Flush[K, V], s int, w *shardWork[K, V], sh *shard[K, V]) {
+	for k := range posSucc {
+		if w.queued[k] {
+			sh.run(&w.b[k], &w.rep[k])
+		}
+	}
+	if f != nil {
+		c.gatherShard(f, s, w)
+	}
+	if w.queued[posSucc] {
+		sh.run(&w.b[posSucc], &w.rep[posSucc])
+	}
+}
+
+// gatherShard copies shard s's point replies into f at their submission
+// indices, zeroing the positions of a kind the shard failed, then calls
+// f.OnShard if the shard had point work. It runs on the shard's goroutine;
+// every position belongs to exactly one shard.
+func (c *Cluster[K, V]) gatherShard(f *Flush[K, V], s int, w *shardWork[K, V]) {
+	pt := &c.ws.pt
+	ups, uerr := unscatter(&pt[posUpsert], s, &w.rep[posUpsert], w.rep[posUpsert].bools, f.Upserted)
+	dels, derr := unscatter(&pt[posDelete], s, &w.rep[posDelete], w.rep[posDelete].bools, f.Deleted)
+	gets, gerr := unscatter(&pt[posGet], s, &w.rep[posGet], w.rep[posGet].gets, f.Gets)
+	if f.OnShard != nil && len(ups)+len(dels)+len(gets) > 0 {
+		f.OnShard(s, ups, dels, gets, uerr, derr, gerr)
+	}
+}
+
+// unscatter copies shard s's share of one point sub-batch from its reply
+// results src into dst at the share's submission indices, or zeroes those
+// positions if the shard failed it. It returns the indices and the shard's
+// error; a shard with no share gets nil, nil.
+func unscatter[K cmp.Ordered, V any, T any](sc *scatter[K, V], s int, rep *shardReply[K, V], src, dst []T) ([]int, error) {
+	cnt := sc.counts[s]
+	if cnt == 0 {
+		return nil, nil
+	}
+	idx := sc.order[sc.starts[s] : sc.starts[s]+cnt]
+	if rep.err != nil {
+		var zero T
+		for _, i := range idx {
+			dst[i] = zero
+		}
+		return idx, rep.err
+	}
+	for j, i := range idx {
+		dst[i] = src[j]
+	}
+	return idx, nil
 }
 
 // runFlush routes f's point sub-batches, runs the flush and gathers its
@@ -528,7 +587,9 @@ func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V]) {
 // after that shard's writes. Each non-empty mutating sub-batch draws one
 // cluster-wide commit sequence number, Upsert before Delete, shared by
 // every shard's share of it (see Cluster.mutSeq) — the draws TryUpsert then
-// TryDelete make.
+// TryDelete make. Each shard's point results reach f from the shard's own
+// goroutine before its Successor share runs; only the error surfaces and
+// the Successor merge wait for every shard.
 func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
 	ws, v := &c.ws, c.view.load()
 	c.scatterInto(&ws.pt[posUpsert], v, f.UpsertKeys, f.UpsertVals)
@@ -567,46 +628,38 @@ func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
 			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: f.SuccKeys}
 		}
 	}
-	c.runShards(v, work)
+	// The point results are copied on the shard goroutines (gatherShard),
+	// into buffers sized here.
+	f.Upserted = resize(f.Upserted, len(f.UpsertKeys))
+	f.Deleted = resize(f.Deleted, len(f.DeleteKeys))
+	f.Gets = resize(f.Gets, len(f.GetKeys))
+	c.runShards(v, work, f)
 
-	bools := func(r *shardReply[K, V]) []bool { return r.bools }
-	f.Upserted, f.UpsertErrs = gatherPoint(&ws.pt[posUpsert], work, posUpsert, f.Upserted, bools)
-	f.Deleted, f.DeleteErrs = gatherPoint(&ws.pt[posDelete], work, posDelete, f.Deleted, bools)
-	f.Gets, f.GetErrs = gatherPoint(&ws.pt[posGet], work, posGet, f.Gets,
-		func(r *shardReply[K, V]) []core.GetResult[V] { return r.gets })
+	f.UpsertErrs = pointErrs(&ws.pt[posUpsert], work, posUpsert)
+	f.DeleteErrs = pointErrs(&ws.pt[posDelete], work, posDelete)
+	f.GetErrs = pointErrs(&ws.pt[posGet], work, posGet)
 	f.Succs, f.SuccErrs = gatherSucc(work, len(f.SuccKeys), f.Succs)
 	return c.finish(batch, work)
 }
 
-// gatherPoint unscatters one point sub-batch's per-shard replies into dst,
-// resized to the sub-batch's length, in the caller's order. errs is nil
-// when every shard served; otherwise each position of a failed shard
-// carries its error and a zero result — the degraded-mode surface: a down
-// shard fails its own keys, never the whole batch.
-func gatherPoint[K cmp.Ordered, V any, T any](sc *scatter[K, V], work []shardWork[K, V], pos int, dst []T, replies func(*shardReply[K, V]) []T) ([]T, []error) {
-	dst = resize(dst, len(sc.order))
+// pointErrs builds one point sub-batch's per-key error surface: nil when
+// every shard served it; otherwise each position of a failed shard carries
+// that shard's error (gatherShard zeroed its result) — the degraded-mode
+// surface: a down shard fails its own keys, never the whole batch.
+func pointErrs[K cmp.Ordered, V any](sc *scatter[K, V], work []shardWork[K, V], pos int) []error {
 	var errs []error
-	var zero T
 	for s, cnt := range sc.counts {
-		if cnt == 0 {
+		if cnt == 0 || work[s].rep[pos].err == nil {
 			continue
 		}
-		lo, rep := sc.starts[s], &work[s].rep[pos]
-		if rep.err != nil {
-			if errs == nil {
-				errs = make([]error, len(dst))
-			}
-			for _, i := range sc.order[lo : lo+cnt] {
-				errs[i] = rep.err
-				dst[i] = zero
-			}
-			continue
+		if errs == nil {
+			errs = make([]error, len(sc.order))
 		}
-		for j, r := range replies(rep)[:cnt] {
-			dst[sc.order[lo+j]] = r
+		for _, i := range sc.order[sc.starts[s] : sc.starts[s]+cnt] {
+			errs[i] = work[s].rep[pos].err
 		}
 	}
-	return dst, errs
+	return errs
 }
 
 // gatherSucc combines the Successor broadcast's per-shard partials into
@@ -675,7 +728,9 @@ func (c *Cluster[K, V]) finish(batch int, work []shardWork[K, V]) Stats {
 // the same supervisor (journal, recovery, lifecycle states). st sums each
 // shard's cost over the whole flush. err reports a failure of the whole
 // call (ErrClosed, ErrConcurrentBatch, ErrBadBatch), which happens before
-// any shard work.
+// any shard work, so f.OnShard is not called. With f.OnShard set, a caller
+// learns each shard's point results as soon as that shard has them, before
+// the shard's Successor share; the Try* wrappers leave it nil.
 func (c *Cluster[K, V]) TryFlush(f *Flush[K, V]) (st Stats, err error) {
 	if len(f.UpsertKeys) != len(f.UpsertVals) {
 		return Stats{}, fmt.Errorf("%w: Upsert keys/vals length mismatch (%d vs %d)",
@@ -753,7 +808,7 @@ func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.
 		}
 		work[s].queued[posRange], work[s].b[posRange] = true, shardBatch[K, V]{kind: opRange, seq: c.mutSeq, rops: ops}
 	}
-	c.runShards(v, work)
+	c.runShards(v, work, nil)
 	res = make([]core.RangeResult[K, V], len(ops))
 	if errs = broadcastErrs(work, posRange, len(ops)); errs == nil {
 		for i := range ops {

@@ -3,11 +3,14 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"pimgo/internal/core"
 	"pimgo/internal/pim"
 	"pimgo/internal/rng"
+	"pimgo/internal/trace"
 )
 
 // errStrings renders a per-key error surface for comparison (nil stays
@@ -42,7 +45,10 @@ func viewOf(st ShardStats) shardView {
 // without recovery, and with live splits and merges between flushes, the
 // two must agree exactly on replies, per-key errors, per-shard costs and
 // journals, Len, Epoch, and final contents; the fused Stats must be the
-// per-shard sum of the four sequential ones.
+// per-shard sum of the four sequential ones. The fused twin's flushes carry
+// an OnShard hook and its shards a trace sink, so the test also holds the
+// hook to its contract (hookRecord.check): installing it changes nothing the
+// sequential twin would notice.
 func TestClusterFlushMatchesSequential(t *testing.T) {
 	const faultSeed = 0xF1A5
 	const nShards = 4
@@ -69,7 +75,7 @@ func TestClusterFlushMatchesSequential(t *testing.T) {
 		compactEvery := []int{0, 8}[ci%2] // the default rule and a tight batch count
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			build := func() *Cluster[uint64, int64] {
+			build := func(tr func(int) trace.Sink) *Cluster[uint64, int64] {
 				plans := make([]core.FaultPlan, nShards)
 				for i := range plans {
 					plans[i] = tc.mk(i)
@@ -84,9 +90,13 @@ func TestClusterFlushMatchesSequential(t *testing.T) {
 					cfg.Faults = plans
 					cfg.DisableRecovery = tc.noRecover
 					cfg.CompactEvery = compactEvery
+					cfg.Trace = tr
 				})
 			}
-			fused, seq := build(), build()
+			logs := &shardLogs{}
+			fused, seq := build(logs.sink), build(nil)
+			var hooks hookRecord
+			ordered := 0 // hook calls checked against a later Successor BatchStart
 			r := rng.NewXoshiro256(0xD1FF ^ uint64(ci))
 			const keySpace = 1 << 11
 			randKeys := func(n int) []uint64 {
@@ -104,6 +114,7 @@ func TestClusterFlushMatchesSequential(t *testing.T) {
 			}
 
 			keyErrs, published := 0, 0
+			var f Flush[uint64, int64]
 			for round := 0; round < 60; round++ {
 				// Distinct final writes, split into disjoint upserts and deletes.
 				seen := map[uint64]bool{}
@@ -123,14 +134,17 @@ func TestClusterFlushMatchesSequential(t *testing.T) {
 						dkeys = append(dkeys, k)
 					}
 				}
-				f := Flush[uint64, int64]{
-					UpsertKeys: ukeys, UpsertVals: uvals, DeleteKeys: dkeys,
-					GetKeys: randKeys(sized()), SuccKeys: randKeys(sized()),
-				}
+				// One Flush serves every round, as it does a long-lived
+				// caller: its reply buffers are reused.
+				f.UpsertKeys, f.UpsertVals, f.DeleteKeys = ukeys, uvals, dkeys
+				f.GetKeys, f.SuccKeys = randKeys(sized()), randKeys(sized())
+				hooks.install(&f, logs)
+				logs.reset()
 				fst, err := fused.TryFlush(&f)
 				if err != nil {
 					t.Fatalf("round %d: TryFlush: %v", round, err)
 				}
+				ordered += hooks.check(t, fmt.Sprintf("round %d", round), &f, fused, logs)
 				ures, uerrs, ust, err := seq.TryUpsert(f.UpsertKeys, f.UpsertVals)
 				if err != nil {
 					t.Fatalf("round %d: TryUpsert: %v", round, err)
@@ -197,6 +211,9 @@ func TestClusterFlushMatchesSequential(t *testing.T) {
 			}
 			if tc.noRecover && keyErrs == 0 {
 				t.Error("degraded case: no per-key error ever surfaced")
+			}
+			if ordered == 0 {
+				t.Error("no hook call was ever followed by its shard's Successor share; the ordering check proves nothing")
 			}
 
 			// Final contents: bring any Down shard back, then read everything.
@@ -286,4 +303,148 @@ func migrateBoth(t *testing.T, round int, a, b *Cluster[uint64, int64]) {
 	if fmt.Sprint(errA) != fmt.Sprint(errB) || ra.Epoch != rb.Epoch || ra.SlotsMoved != rb.SlotsMoved {
 		t.Fatalf("round %d: merge diverged: fused (%+v, %v), sequential (%+v, %v)", round, ra, errA, rb, errB)
 	}
+}
+
+// shardLogs keeps one event log per shard id: the BatchStart labels of the
+// shard's trace sink and a "hook" entry per OnShard call. A shard's log is
+// written only by the goroutine running that shard, and read once TryFlush
+// has returned.
+type shardLogs struct {
+	mu   sync.Mutex
+	logs []*[]string
+}
+
+// log returns shard s's log, creating it (splits add shard ids).
+func (l *shardLogs) log(s int) *[]string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.logs) <= s {
+		l.logs = append(l.logs, new([]string))
+	}
+	return l.logs[s]
+}
+
+// sink is the cluster's Config.Trace factory.
+func (l *shardLogs) sink(s int) trace.Sink { return &logSink{log: l.log(s)} }
+
+// reset empties every log before a flush.
+func (l *shardLogs) reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, lg := range l.logs {
+		*lg = (*lg)[:0]
+	}
+}
+
+// logSink records the BatchStart labels of one shard ("s<id>/<op>").
+type logSink struct{ log *[]string }
+
+func (s *logSink) BatchStart(op string, n int)    { *s.log = append(*s.log, op) }
+func (s *logSink) PhaseStart(string, trace.Phase) {}
+func (s *logSink) PhaseEnd(trace.Span)            {}
+func (s *logSink) RoundEnd(trace.RoundStat)       {}
+func (s *logSink) Fault(trace.FaultEvent)         {}
+func (s *logSink) BatchEnd(string, trace.Totals)  {}
+
+// hookRecord is what one flush's OnShard calls reported: the calls per
+// shard, and per point kind (upsert, delete, get) and submission index the
+// number of reports, the error, and the result the Flush held at the call.
+type hookRecord struct {
+	mu    sync.Mutex
+	calls map[int]int
+	seen  [3][]int
+	errs  [3][]error
+	bools [2][]bool
+	gets  []core.GetResult[int64]
+}
+
+// install resets the record for f and sets f.OnShard to record into it and
+// into the calling shard's log.
+func (h *hookRecord) install(f *Flush[uint64, int64], logs *shardLogs) {
+	h.calls = map[int]int{}
+	for k, n := range []int{len(f.UpsertKeys), len(f.DeleteKeys), len(f.GetKeys)} {
+		h.seen[k], h.errs[k] = make([]int, n), make([]error, n)
+	}
+	h.bools[0], h.bools[1] = make([]bool, len(f.UpsertKeys)), make([]bool, len(f.DeleteKeys))
+	h.gets = make([]core.GetResult[int64], len(f.GetKeys))
+	f.OnShard = func(s int, ups, dels, gets []int, uerr, derr, gerr error) {
+		lg := logs.log(s)
+		*lg = append(*lg, "hook")
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.calls[s]++
+		for k, idx := range [3][]int{ups, dels, gets} {
+			for _, x := range idx {
+				h.seen[k][x]++
+				h.errs[k][x] = [3]error{uerr, derr, gerr}[k]
+				switch k {
+				case 0:
+					h.bools[0][x] = f.Upserted[x]
+				case 1:
+					h.bools[1][x] = f.Deleted[x]
+				case 2:
+					h.gets[x] = f.Gets[x]
+				}
+			}
+		}
+	}
+}
+
+// check holds one returned flush to the OnShard contract: every point
+// position was reported exactly once, with the result and error f holds
+// now; exactly the shards routed point work were called, once each; and
+// each called shard's hook entry precedes its Successor BatchStart. It
+// returns the number of calls that a Successor BatchStart followed.
+func (h *hookRecord) check(t *testing.T, at string, f *Flush[uint64, int64], c *Cluster[uint64, int64], logs *shardLogs) (ordered int) {
+	t.Helper()
+	errAt := func(errs []error, x int) error {
+		if errs == nil {
+			return nil
+		}
+		return errs[x]
+	}
+	homes := map[int]bool{}
+	for k, keys := range [3][]uint64{f.UpsertKeys, f.DeleteKeys, f.GetKeys} {
+		for x, key := range keys {
+			homes[c.ShardFor(key)] = true
+			if h.seen[k][x] != 1 {
+				t.Fatalf("%s: kind %d position %d reported %d times, want once", at, k, x, h.seen[k][x])
+			}
+			final := [3][]error{f.UpsertErrs, f.DeleteErrs, f.GetErrs}[k]
+			if got, want := fmt.Sprint(h.errs[k][x]), fmt.Sprint(errAt(final, x)); got != want {
+				t.Fatalf("%s: kind %d position %d: hook error %s, Flush holds %s", at, k, x, got, want)
+			}
+			same := true
+			switch k {
+			case 0:
+				same = h.bools[0][x] == f.Upserted[x]
+			case 1:
+				same = h.bools[1][x] == f.Deleted[x]
+			case 2:
+				same = h.gets[x] == f.Gets[x]
+			}
+			if !same {
+				t.Fatalf("%s: kind %d position %d: result at the hook differs from the returned Flush", at, k, x)
+			}
+		}
+	}
+	for s := 0; s < c.Shards(); s++ {
+		want := 0
+		if homes[s] {
+			want = 1
+		}
+		if h.calls[s] != want {
+			t.Fatalf("%s: shard %d: %d hook calls, want %d (point work: %v)", at, s, h.calls[s], want, homes[s])
+		}
+		lg := *logs.log(s)
+		hook := slices.Index(lg, "hook")
+		succ := slices.IndexFunc(lg, func(op string) bool { return strings.HasSuffix(op, "/successor") })
+		if hook >= 0 && succ >= 0 {
+			if succ < hook {
+				t.Fatalf("%s: shard %d ran its Successor share before the hook: %v", at, s, lg)
+			}
+			ordered++
+		}
+	}
+	return ordered
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"cmp"
+	"sync/atomic"
 	"time"
 
 	"pimgo/internal/cluster"
@@ -62,7 +63,10 @@ type ClusterStats struct {
 // last-writer-wins flush semantics, bit-identical replies. Each flush is
 // one Cluster.TryFlush, which scatters into per-shard sub-batches through
 // the cluster's epoch-versioned slot table and gathers exactly-once
-// replies; every reply of the flush goes out once it returns.
+// replies. Each shard's writes and Gets are answered from that shard's
+// goroutine as soon as the shard has run them, while other shards may
+// still be searching; only the Successors, a broadcast to every shard,
+// wait for the whole flush.
 //
 // On top of serving, the frontend can drive the cluster's elasticity: with
 // ClusterConfig.RebalanceEvery set, a background sampler feeds per-window
@@ -82,7 +86,10 @@ type ClusterStats struct {
 // ops routed to a down shard fail with cluster.ErrShardDown (a write
 // superseding chain on a down shard fails the whole chain — the key's
 // presence is unknowable); ops on healthy shards are unaffected. Successor
-// broadcasts are all-or-nothing, as in cluster.TrySuccessor.
+// broadcasts are all-or-nothing, as in cluster.TrySuccessor. A shard that
+// goes down in its Get share has already answered its writes, and one that
+// goes down in its Successor share its writes and Gets; those replies
+// stand.
 type ClusterFrontend[K cmp.Ordered, V any] struct {
 	collector[K, V]
 	cb clusterBackend[K, V]
@@ -109,6 +116,7 @@ func NewClusterFrontend[K cmp.Ordered, V any](c *cluster.Cluster[K, V], cfg Clus
 		policy: cfg.Policy,
 		every:  cfg.RebalanceEvery,
 	}
+	f.cb.fl.OnShard = f.cb.answerShard
 	f.init(&f.cb, cfg.MaxBatch, cfg.MaxWait)
 	if f.every > 0 {
 		f.hook = f.rebalance
@@ -224,11 +232,18 @@ func (f *ClusterFrontend[K, V]) rebalance() {
 }
 
 // clusterBackend flushes into a cluster.Cluster through one reused
-// cluster.Flush, so steady-state flushes reuse its reply buffers.
+// cluster.Flush, so steady-state flushes reuse its reply buffers. The
+// Flush's OnShard hook, bound once in NewClusterFrontend, is answerShard.
 type clusterBackend[K cmp.Ordered, V any] struct {
 	c    *cluster.Cluster[K, V]
 	fl   cluster.Flush[K, V]
 	sink trace.Sink // ClusterConfig.Trace
+
+	// The flush in progress, as the hook sees it: its workspace, and the
+	// ops the hook answered with an error, counted from every shard's
+	// goroutine.
+	ws   *flushWS[K, V]
+	errs atomic.Int64
 }
 
 // flushSink returns ClusterConfig.Trace if it takes FlushStat events.
@@ -237,57 +252,35 @@ func (b *clusterBackend[K, V]) flushSink() trace.FlushSink {
 	return s
 }
 
-// flush runs the sub-batches in a single Cluster.TryFlush call and answers
-// every future once it returns, Gets included. Writes-before-reads needs
-// no cross-shard barrier: each shard runs the flush's Upsert, Delete, Get
-// and Successor shares back to back, shards own disjoint keys, and a
-// shard's Successor partial reads only that shard — so the broadcast's
-// merged answer reflects every write of the flush.
+// flush runs the sub-batches in a single Cluster.TryFlush call. Each
+// shard's writes and Gets are answered by answerShard, from that shard's
+// goroutine, as soon as the shard has run them and before its Successor
+// share; the Successors are answered here once TryFlush returns.
+// Writes-before-reads needs no cross-shard barrier: each shard runs the
+// flush's Upsert, Delete, Get and Successor shares back to back, shards own
+// disjoint keys, and a shard's Successor partial reads only that shard — so
+// the broadcast's merged answer reflects every write of the flush.
 //
 // Error semantics are per key where the cluster's are (point ops on a down
 // shard fail with that shard's error; a superseded write chain whose final
 // write landed on a down shard fails whole, since the key's presence is
 // unknowable) and per flush where they are not (gate errors, Successor
-// broadcasts).
+// broadcasts). A shard that fails its Successor share has already answered
+// its writes and Gets; those replies stand.
 func (b *clusterBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) int {
 	fl := &b.fl
 	fl.UpsertKeys, fl.UpsertVals, fl.DeleteKeys = ws.ukeys, ws.uvals, ws.dkeys
 	fl.GetKeys, fl.SuccKeys = ws.gkeys, ws.skeys
+	b.ws = ws
+	b.errs.Store(0)
 	if _, err := b.c.TryFlush(fl); err != nil {
-		// A whole-flush error (ErrClosed, gate) predates any shard work: no
-		// op of the flush was applied, every op gets the error.
+		// A whole-flush error (ErrClosed, gate) predates any shard work: the
+		// hook never ran, no op of the flush was applied, every op gets the
+		// error.
 		deliverErr(batch, err)
 		return len(batch)
 	}
-
-	// Replay each key's op chain against the presence bit its final write
-	// learned — unless that write landed on a down shard, in which case the
-	// bit is unknowable and the whole chain fails with the shard's error.
-	errs := 0
-	for x, i := range ws.ufin {
-		if fl.UpsertErrs != nil && fl.UpsertErrs[x] != nil {
-			errs += ws.failChain(i, fl.UpsertErrs[x])
-		} else {
-			ws.replay(i, !fl.Upserted[x])
-		}
-	}
-	for x, i := range ws.dfin {
-		if fl.DeleteErrs != nil && fl.DeleteErrs[x] != nil {
-			errs += ws.failChain(i, fl.DeleteErrs[x])
-		} else {
-			ws.replay(i, fl.Deleted[x])
-		}
-	}
-	for i, fu := range ws.gfut {
-		if fl.GetErrs != nil && fl.GetErrs[i] != nil {
-			fu.err = fl.GetErrs[i]
-			errs++
-		} else {
-			fu.found = fl.Gets[i].Found
-			fu.rval = fl.Gets[i].Value
-		}
-		fu.ready <- struct{}{}
-	}
+	errs := int(b.errs.Load())
 	for i, fu := range ws.sfut {
 		if fl.SuccErrs != nil && fl.SuccErrs[i] != nil { // all-or-nothing broadcast
 			fu.err = fl.SuccErrs[i]
@@ -300,4 +293,42 @@ func (b *clusterBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) i
 		fu.ready <- struct{}{}
 	}
 	return errs
+}
+
+// answerShard is the Flush's OnShard hook: it answers one shard's writes
+// and Gets on that shard's goroutine. Each key's write chain is replayed
+// against the presence bit its final write learned — unless the shard
+// failed that write, in which case the bit is unknowable and the whole
+// chain fails with the shard's error. Shards own disjoint keys, so
+// concurrent calls touch disjoint chains and futures.
+func (b *clusterBackend[K, V]) answerShard(_ int, ups, dels, gets []int, uerr, derr, gerr error) {
+	ws, fl, errs := b.ws, &b.fl, 0
+	for _, x := range ups {
+		if uerr != nil {
+			errs += ws.failChain(ws.uhead[x], uerr)
+		} else {
+			ws.replay(ws.uhead[x], !fl.Upserted[x])
+		}
+	}
+	for _, x := range dels {
+		if derr != nil {
+			errs += ws.failChain(ws.dhead[x], derr)
+		} else {
+			ws.replay(ws.dhead[x], fl.Deleted[x])
+		}
+	}
+	for _, x := range gets {
+		fu := ws.gfut[x]
+		if gerr != nil {
+			fu.err = gerr
+			errs++
+		} else {
+			fu.found = fl.Gets[x].Found
+			fu.rval = fl.Gets[x].Value
+		}
+		fu.ready <- struct{}{}
+	}
+	if errs > 0 {
+		b.errs.Add(int64(errs))
+	}
 }

@@ -2,7 +2,10 @@ package frontend
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,6 +133,327 @@ func TestClusterFlushWriteCoalescing(t *testing.T) {
 	// 8 ops; submitted = 2 final writes + 2 gets + 1 successor.
 	if st.Ops != 8 || st.Submitted != 5 || st.Flushes != 1 {
 		t.Fatalf("stats = %+v, want Ops 8 Submitted 5 Flushes 1", st)
+	}
+}
+
+// keysOn returns n distinct keys ≥ from that c routes to shard s.
+func keysOn(c *cluster.Cluster[uint64, int64], s, n int, from uint64) []uint64 {
+	var ks []uint64
+	for k := from; len(ks) < n; k++ {
+		if c.ShardFor(k) == s {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// nopSink is a trace.Sink that ignores every event; test sinks embed it.
+type nopSink struct{}
+
+func (nopSink) BatchStart(string, int)         {}
+func (nopSink) PhaseStart(string, trace.Phase) {}
+func (nopSink) PhaseEnd(trace.Span)            {}
+func (nopSink) RoundEnd(trace.RoundStat)       {}
+func (nopSink) Fault(trace.FaultEvent)         {}
+func (nopSink) BatchEnd(string, trace.Totals)  {}
+
+// gateSink holds each Successor share of its shard at BatchStart, after
+// announcing it on held, until release is closed.
+type gateSink struct {
+	nopSink
+	held    chan<- int
+	release <-chan struct{}
+	shard   int
+}
+
+func (g *gateSink) BatchStart(op string, _ int) {
+	if strings.HasSuffix(op, "/successor") {
+		g.held <- g.shard
+		<-g.release
+	}
+}
+
+// TestClusterFrontendPointRepliesBeforeSuccessor: a cluster flush answers
+// each shard's writes and Gets from that shard's goroutine before the
+// shard's Successor share, so no point reply waits for the broadcast. Every
+// shard's Successor share is held at its BatchStart; while all of them are
+// held, an Upsert, a Delete and Gets routed to every shard have their exact
+// replies — including those of the last shard, which the flushing goroutine
+// drives inline — and the Successor and the flush itself are still waiting.
+// Once released, the Successor's reply is exact too.
+func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
+	const nShards = 3
+	held := make(chan int, nShards)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	c := newTestCluster(t, nShards, func(cfg *cluster.Config) {
+		cfg.Trace = func(s int) trace.Sink { return &gateSink{held: held, release: release, shard: s} }
+	})
+	t.Cleanup(unblock) // runs before the cluster's Close: cleanups run last-in first-out
+
+	// Per shard: a seeded key to Get; shard 0 also a seeded key to Delete,
+	// and the inline shard a fresh key to Upsert.
+	inline := nShards - 1
+	var gkeys []uint64
+	for s := 0; s < nShards; s++ {
+		gkeys = append(gkeys, keysOn(c, s, 1, 1000)[0])
+	}
+	dkey, ukey := keysOn(c, 0, 2, 1000)[1], keysOn(c, inline, 2, 1000)[1]
+	seed := append(slices.Clone(gkeys), dkey)
+	vals := make([]int64, len(seed))
+	for i, k := range seed {
+		vals[i] = int64(k) * 10
+	}
+	if _, errs, _, err := c.TryUpsert(seed, vals); err != nil || errs != nil {
+		t.Fatalf("seed: %v %v", errs, err)
+	}
+	f := stoppedClusterFrontend(t, c, ClusterConfig{})
+
+	sk := min(slices.Min(seed), ukey) - 1 // the Successor's answer is the smallest key left
+	succ := fut(opSucc, sk, 0)
+	ups, del := fut(opUpsert, ukey, 7), fut(opDelete, dkey, 0)
+	gets := []*future[uint64, int64]{fut(opGet, ukey, 0), fut(opGet, dkey, 0)}
+	for _, k := range gkeys {
+		gets = append(gets, fut(opGet, k, 0))
+	}
+	batch := append([]*future[uint64, int64]{succ, ups, del}, gets...)
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		f.flush(batch)
+	}()
+
+	for range nShards {
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a shard never reached its Successor share")
+		}
+	}
+	// Every shard's Successor share is held: each shard is past its point
+	// shares, so every point reply must already be out.
+	ready := func(fu *future[uint64, int64]) bool {
+		select {
+		case <-fu.ready:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, fu := range append([]*future[uint64, int64]{ups, del}, gets...) {
+		if !ready(fu) {
+			t.Fatalf("point op (kind %d key %d, shard %d) not answered while the Successor shares are held",
+				fu.kind, fu.key, c.ShardFor(fu.key))
+		}
+		if fu.err != nil {
+			t.Fatalf("point op (kind %d key %d): %v", fu.kind, fu.key, fu.err)
+		}
+	}
+	if !ups.found {
+		t.Error("Upsert of a fresh key: inserted = false, want true")
+	}
+	if !del.found {
+		t.Error("Delete of a seeded key: found = false, want true")
+	}
+	if !gets[0].found || gets[0].rval != 7 {
+		t.Errorf("Get of the upserted key = (%v, %d), want (true, 7)", gets[0].found, gets[0].rval)
+	}
+	if gets[1].found {
+		t.Error("Get of the deleted key: found = true, want false")
+	}
+	for i, k := range gkeys {
+		if fu := gets[2+i]; !fu.found || fu.rval != int64(k)*10 {
+			t.Errorf("Get(%d) on shard %d = (%v, %d), want (true, %d)", k, i, fu.found, fu.rval, int64(k)*10)
+		}
+	}
+	if ready(succ) {
+		t.Fatal("Successor answered while every shard's Successor share is held")
+	}
+	select {
+	case <-flushed:
+		t.Fatal("flush returned while the Successor shares are held")
+	default:
+	}
+
+	unblock()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("flush never returned after release")
+	}
+	want := min(slices.Min(gkeys), ukey) // dkey was deleted
+	if found, k, v := reap(t, succ); !found || k != want || (k == ukey && v != 7) || (k != ukey && v != int64(k)*10) {
+		t.Fatalf("Successor(%d) = (%v, %d, %d), want key %d", sk, found, k, v, want)
+	}
+	if st := f.Stats(); st.Ops != int64(len(batch)) || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want Ops %d Errors 0", st, len(batch))
+	}
+}
+
+// roundSink counts its shard's rounds from construction on and, once
+// marked, notes the cumulative index of the first round of each batch label
+// it sees start.
+type roundSink struct {
+	nopSink
+	rounds int64
+	marked bool
+	first  map[string]int64
+}
+
+func (s *roundSink) BatchStart(op string, _ int) {
+	if _, ok := s.first[op]; s.marked && !ok {
+		s.first[op] = s.rounds + 1
+	}
+}
+
+func (s *roundSink) RoundEnd(trace.RoundStat) { s.rounds++ }
+
+// TestClusterFrontendFlushErrorGranularity is the cluster twin of
+// TestFrontendFlushErrorGranularity. With recovery disabled, one shard is
+// killed at the first round of its Get share, or of its Successor share;
+// the round is counted on a fault-free twin cluster that runs the same
+// flush. A Successor kill fails only the flush's Successors (all or
+// nothing); a Get kill fails that shard's Gets and every Successor. Every
+// other op — the victim's writes, answered before its Get share, and every
+// op of the other shards — keeps its exact reply, answered once: an early
+// reply is never retracted.
+func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
+	const nShards, victim = 3, 1
+	// flushOn builds a cluster, seeds per shard a key to Delete and one to
+	// Get, calls mark, and flushes through a stopped frontend per shard an
+	// Upsert of a fresh key, that Delete and that Get, plus Successor(0).
+	// It returns the answered ops and the Successor's exact answer.
+	type flushed struct {
+		c    *cluster.Cluster[uint64, int64]
+		f    *ClusterFrontend[uint64, int64]
+		ops  []*future[uint64, int64]
+		succ uint64
+	}
+	flushOn := func(t *testing.T, mark func(), opts ...func(*cluster.Config)) flushed {
+		t.Helper()
+		c := newTestCluster(t, nShards, opts...)
+		var seed, gkeys []uint64
+		for s := 0; s < nShards; s++ {
+			ks := keysOn(c, s, 2, 100)
+			seed, gkeys = append(seed, ks...), append(gkeys, ks[1])
+		}
+		vals := make([]int64, len(seed))
+		for i, k := range seed {
+			vals[i] = int64(k) * 10
+		}
+		if _, errs, _, err := c.TryUpsert(seed, vals); err != nil || errs != nil {
+			t.Fatalf("seed: %v %v", errs, err)
+		}
+		var ops []*future[uint64, int64]
+		for s := 0; s < nShards; s++ {
+			ops = append(ops, fut(opUpsert, keysOn(c, s, 1, 10_000)[0], int64(s)))
+		}
+		for s := 0; s < nShards; s++ {
+			ops = append(ops, fut(opDelete, seed[2*s], 0))
+		}
+		for s := 0; s < nShards; s++ {
+			ops = append(ops, fut(opGet, gkeys[s], 0))
+		}
+		ops = append(ops, fut(opSucc, 0, 0))
+		f := stoppedClusterFrontend(t, c, ClusterConfig{})
+		mark()
+		// A future answered twice would block the flush on its one-slot
+		// channel: time the flush out rather than hang.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f.flush(ops)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("flush never returned (a future answered twice?)")
+		}
+		return flushed{c, f, ops, slices.Min(gkeys)}
+	}
+	// check holds every op to its reply: ErrShardDown where failed says so,
+	// else the exact reply; and each future answered exactly once.
+	check := func(t *testing.T, r flushed, failed func(*future[uint64, int64]) bool) {
+		t.Helper()
+		errs := 0
+		for _, fu := range r.ops {
+			if failed(fu) {
+				errs++
+				select {
+				case <-fu.ready:
+				default:
+					t.Fatalf("op (kind %d key %d) never answered", fu.kind, fu.key)
+				}
+				if !errors.Is(fu.err, cluster.ErrShardDown) {
+					t.Fatalf("op (kind %d key %d, shard %d): err = %v, want ErrShardDown", fu.kind, fu.key, r.c.ShardFor(fu.key), fu.err)
+				}
+			} else {
+				found, k, v := reap(t, fu)
+				switch fu.kind {
+				case opUpsert, opDelete:
+					if !found {
+						t.Errorf("write (kind %d key %d) = false, want true", fu.kind, fu.key)
+					}
+				case opGet:
+					if !found || v != int64(fu.key)*10 {
+						t.Errorf("Get(%d) = (%v, %d), want (true, %d)", fu.key, found, v, int64(fu.key)*10)
+					}
+				case opSucc:
+					if !found || k != r.succ || v != int64(r.succ)*10 {
+						t.Errorf("Successor(0) = (%v, %d, %d), want (true, %d, %d)", found, k, v, r.succ, int64(r.succ)*10)
+					}
+				}
+			}
+			if len(fu.ready) != 0 {
+				t.Fatalf("op (kind %d key %d) answered twice", fu.kind, fu.key)
+			}
+		}
+		if st := r.f.Stats(); st.Ops != int64(len(r.ops)) || st.Errors != int64(errs) {
+			t.Fatalf("stats = %+v, want Ops %d Errors %d", st, len(r.ops), errs)
+		}
+	}
+
+	// The fault-free twin: where the victim's Get and Successor shares start,
+	// in rounds since its machine was built.
+	sink := &roundSink{first: map[string]int64{}}
+	twin := flushOn(t, func() { sink.marked = true }, func(cfg *cluster.Config) {
+		cfg.Trace = func(s int) trace.Sink {
+			if s == victim {
+				return sink
+			}
+			return nil
+		}
+	})
+	check(t, twin, func(*future[uint64, int64]) bool { return false })
+	tag := "s" + strconv.Itoa(victim) + "/"
+	getAt, succAt := sink.first[tag+"get"], sink.first[tag+"successor"]
+	if getAt == 0 || succAt <= getAt {
+		t.Fatalf("twin: victim's Get share starts at round %d, Successor share at %d", getAt, succAt)
+	}
+
+	cases := []struct {
+		name   string
+		killAt int64
+		failed func(*future[uint64, int64]) bool
+	}{
+		{"get", getAt, func(fu *future[uint64, int64]) bool {
+			return fu.kind == opSucc || (fu.kind == opGet && twin.c.ShardFor(fu.key) == victim)
+		}},
+		{"successor", succAt, func(fu *future[uint64, int64]) bool { return fu.kind == opSucc }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := flushOn(t, func() {}, func(cfg *cluster.Config) {
+				cfg.Faults = make([]core.FaultPlan, nShards)
+				cfg.Faults[victim] = pim.KillPlan(tc.killAt, nil)
+				cfg.DisableRecovery = true
+			})
+			check(t, r, tc.failed)
+			if st := r.c.ShardStats(victim); st.State != cluster.ShardDown || st.Kills != 1 {
+				t.Fatalf("victim shard: state %v, kills %d; want down after one kill", st.State, st.Kills)
+			}
+		})
 	}
 }
 
@@ -519,10 +843,11 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 }
 
 // TestClusterFrontendSteadyStateAllocs: the client-facing enqueue/reply
-// path reuses pooled futures — a warmed single-client op allocates nothing
-// on the caller side. (The cluster's internal scatter/gather allocates per
-// flush; that cost is the collector's, amortized over the batch, and is not
-// measured here.)
+// path reuses pooled futures, and the cluster reuses its scatter workspace,
+// shard reply buffers and the frontend's Flush reply buffers, so a warmed
+// single-op Get costs a fixed two allocations, both per cluster call: the
+// WaitGroup runShards hands to its shard goroutines, and Stats.Shards. With
+// single-op flushes that per-call cost is paid per op, the worst case.
 func TestClusterFrontendSteadyStateAllocs(t *testing.T) {
 	c := newTestCluster(t, 2)
 	f := NewClusterFrontend(c, ClusterConfig{})
@@ -536,14 +861,12 @@ func TestClusterFrontendSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("Get: %v", err)
 		}
 	})
-	// The future round-trip itself must not allocate. AllocsPerRun counts
-	// process-wide mallocs, so the collector's per-flush scatter/gather
-	// slices (O(shards) result/error buffers inside the cluster's Try*
-	// calls) land in the measurement — with single-op flushes that fixed
-	// per-flush cost is paid per op, the worst case. The bound pins it:
-	// amortized over real batches it vanishes, and a pooled-future
-	// regression (one chan + future per op under churn) would blow past it.
-	if allocs > 16 {
-		t.Fatalf("steady-state Get allocates %.1f times per op", allocs)
+	// AllocsPerRun counts process-wide mallocs, so the collector's flush
+	// lands in the measurement. The bound is exact: a closure, slice or
+	// escaping value added per flush — by the OnShard hook path, say —
+	// fails it.
+	t.Logf("steady-state Get: %.2f allocs per op", allocs)
+	if allocs > 2 {
+		t.Fatalf("steady-state Get allocates %.2f times per op, want at most 2", allocs)
 	}
 }

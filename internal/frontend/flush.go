@@ -11,22 +11,24 @@ import (
 // nothing.
 type flushWS[K cmp.Ordered, V any] struct {
 	// Write coalescing: wfut holds the flush's write futures in arrival
-	// order; wprev[i] is the index of the previous write to the same key
-	// (-1 if i is the key's first); widx maps each written key to its last
-	// (final) write. chain is replay scratch.
+	// order; wnext[i] is the index of the next write to the same key (-1 if
+	// i is the key's final write) and whead[i] the index of the key's first
+	// write; widx maps each written key to its latest write so far. The
+	// links are read-only once partition returns, so chains of different
+	// keys can be replayed concurrently.
 	widx  map[K]int32
 	wfut  []*future[K, V]
-	wprev []int32
-	chain []int32
+	wnext []int32
+	whead []int32
 
 	// Final writes submitted to the backend: the coalesced Upsert batch,
-	// the coalesced Delete batch, and for each its wfut index (to seed
-	// replay).
+	// the coalesced Delete batch, and for each the wfut index of its key's
+	// first write, where replay starts.
 	ukeys []K
 	uvals []V
-	ufin  []int32
+	uhead []int32
 	dkeys []K
-	dfin  []int32
+	dhead []int32
 
 	// Reads, demultiplexed positionally.
 	gkeys []K
@@ -43,12 +45,13 @@ func (ws *flushWS[K, V]) reset() {
 	clear(ws.widx)
 	clear(ws.wfut)
 	ws.wfut = ws.wfut[:0]
-	ws.wprev = ws.wprev[:0]
+	ws.wnext = ws.wnext[:0]
+	ws.whead = ws.whead[:0]
 	ws.ukeys = ws.ukeys[:0]
 	ws.uvals = ws.uvals[:0]
-	ws.ufin = ws.ufin[:0]
+	ws.uhead = ws.uhead[:0]
 	ws.dkeys = ws.dkeys[:0]
-	ws.dfin = ws.dfin[:0]
+	ws.dhead = ws.dhead[:0]
 	ws.gkeys = ws.gkeys[:0]
 	clear(ws.gfut)
 	ws.gfut = ws.gfut[:0]
@@ -78,12 +81,14 @@ func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queue
 			ws.sfut = append(ws.sfut, fu)
 		default: // opUpsert, opDelete
 			i := int32(len(ws.wfut))
-			prev, dup := ws.widx[fu.key]
-			if !dup {
-				prev = -1
+			head := i
+			if last, dup := ws.widx[fu.key]; dup {
+				ws.wnext[last] = i
+				head = ws.whead[last]
 			}
 			ws.wfut = append(ws.wfut, fu)
-			ws.wprev = append(ws.wprev, prev)
+			ws.wnext = append(ws.wnext, -1)
+			ws.whead = append(ws.whead, head)
 			ws.widx[fu.key] = i
 		}
 	}
@@ -92,31 +97,28 @@ func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queue
 	// Upsert and Delete sub-batches then touch disjoint key sets: a key's
 	// single surviving write is either an upsert or a delete.
 	for i, fu := range ws.wfut {
-		if ws.widx[fu.key] != int32(i) {
-			continue // superseded; answered by replay below
+		if ws.wnext[i] >= 0 {
+			continue // superseded; answered by replay
 		}
 		if fu.kind == opUpsert {
 			ws.ukeys = append(ws.ukeys, fu.key)
 			ws.uvals = append(ws.uvals, fu.val)
-			ws.ufin = append(ws.ufin, int32(i))
+			ws.uhead = append(ws.uhead, ws.whead[i])
 		} else {
 			ws.dkeys = append(ws.dkeys, fu.key)
-			ws.dfin = append(ws.dfin, int32(i))
+			ws.dhead = append(ws.dhead, ws.whead[i])
 		}
 	}
 	return len(ws.ukeys) + len(ws.dkeys) + len(ws.gkeys) + len(ws.skeys)
 }
 
-// replay walks one key's write chain (ending at wfut index last) in arrival
-// order, starting from the key's presence at flush start, and replies to
-// every write future in the chain.
-func (ws *flushWS[K, V]) replay(last int32, present bool) {
-	ws.chain = ws.chain[:0]
-	for j := last; j >= 0; j = ws.wprev[j] {
-		ws.chain = append(ws.chain, j)
-	}
-	for x := len(ws.chain) - 1; x >= 0; x-- {
-		fu := ws.wfut[ws.chain[x]]
+// replay walks one key's write chain, from its first write at wfut index
+// head, in arrival order, starting from the key's presence at flush start,
+// and replies to every write future in the chain. It touches only that
+// chain, so the chains of different keys may be replayed concurrently.
+func (ws *flushWS[K, V]) replay(head int32, present bool) {
+	for j := head; j >= 0; j = ws.wnext[j] {
+		fu := ws.wfut[j]
 		if fu.kind == opUpsert {
 			fu.found = !present // inserted iff absent
 			present = true
@@ -128,13 +130,13 @@ func (ws *flushWS[K, V]) replay(last int32, present bool) {
 	}
 }
 
-// failChain answers every write future in one key's chain (ending at wfut
-// index last) with err, returning the number answered. The cluster backend
-// uses it when a final write lands on a down shard: the key's presence is
-// unknowable, so no op in the chain can be replayed.
-func (ws *flushWS[K, V]) failChain(last int32, err error) int {
+// failChain answers every write future in one key's chain (from its first
+// write at wfut index head) with err, returning the number answered. The
+// cluster backend uses it when a final write lands on a down shard: the
+// key's presence is unknowable, so no op in the chain can be replayed.
+func (ws *flushWS[K, V]) failChain(head int32, err error) int {
 	n := 0
-	for j := last; j >= 0; j = ws.wprev[j] {
+	for j := head; j >= 0; j = ws.wnext[j] {
 		fu := ws.wfut[j]
 		fu.err = err
 		fu.ready <- struct{}{}

@@ -15,11 +15,13 @@
 // ClusterFrontend (clusterfrontend.go) drives an elastic cluster.Cluster,
 // adding a background rebalance loop as a hook the collector runs between
 // flushes. Intake, scheduling, Close and flush accounting are the same
-// code (collector.go); only the flush body differs, and with it the reply
-// timing. The Map backend runs the Upsert, Delete, Get and Successor
-// sub-batches in turn and answers each kind as soon as its sub-batch
-// returns; the cluster backend runs all four in one Cluster.TryFlush and
-// answers once it returns.
+// code (collector.go); only the flush body differs. Both answer a flush's
+// writes and Gets before its Successor sub-batch runs. The Map backend runs
+// the Upsert, Delete, Get and Successor sub-batches in turn and answers
+// each kind as soon as its sub-batch returns. The cluster backend runs all
+// four in one Cluster.TryFlush and answers per shard: each shard's writes
+// and Gets from that shard's goroutine, once the shard has run them and
+// before its Successor share; the Successors once TryFlush returns.
 //
 // # Coalescing semantics
 //
@@ -170,11 +172,11 @@ func (b *mapBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) int {
 	// present). Replaying the key's op chain against that bit yields the
 	// exact reply every op — superseded or final — would have received had
 	// it run as its own batch.
-	for x, i := range ws.ufin {
-		ws.replay(i, !b.ures[x])
+	for x, head := range ws.uhead {
+		ws.replay(head, !b.ures[x])
 	}
-	for x, i := range ws.dfin {
-		ws.replay(i, b.dres[x])
+	for x, head := range ws.dhead {
+		ws.replay(head, b.dres[x])
 	}
 
 	if len(ws.gkeys) > 0 {

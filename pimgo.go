@@ -369,7 +369,9 @@ type ClusterStats = cluster.Stats
 // single scatter/gather, each shard taking its share of all four back to
 // back, plus caller-owned reply buffers a long-lived caller reuses across
 // flushes. Replies and per-key errors equal those of TryUpsert, TryDelete,
-// TryGet and TrySuccessor called in that order.
+// TryGet and TrySuccessor called in that order. An optional OnShard hook
+// hands over each shard's point results from the shard's goroutine, before
+// that shard's share of the Successor broadcast.
 type ClusterFlush[K cmp.Ordered, V any] = cluster.Flush[K, V]
 
 // ClusterShardStats is one shard's health and cost summary (state, journal
