@@ -62,11 +62,12 @@ frontend:
 
 # Sharded-cluster verification: the cluster-wide chaos soak (every fault
 # plan x shard kills, all batch ops vs a fault-free single Map and the
-# sequential oracle), routing determinism across GOMAXPROCS (plus -race),
-# then the machine-readable cluster-ladder record.
+# sequential oracle), routing determinism across GOMAXPROCS, the §2.2
+# adversary shapes at the cluster level (plus -race), then the
+# machine-readable cluster-ladder record.
 cluster:
 	$(GO) test -run 'TestCluster' -count=1 ./internal/cluster/
-	$(GO) test -race -run 'TestClusterChaosSoak|TestClusterRoutingDeterminism|TestClusterFlushMatchesSequential' -count=1 ./internal/cluster/
+	$(GO) test -race -run 'TestClusterChaosSoak|TestClusterRoutingDeterminism|TestClusterFlushMatchesSequential|TestClusterAdversarySkew' -count=1 ./internal/cluster/
 	$(GO) run ./cmd/pimbench cluster -out results/BENCH_cluster.json
 
 # Live-rebalancing verification: the migration/policy/lifecycle suites and

@@ -7,20 +7,23 @@
 // single-Map oracle) or degrades to typed per-key ErrShardDown errors while
 // the surviving shards keep serving.
 //
-// Routing is a pure hash through an epoch-versioned slot table:
-// slotOf(k) = Mix64(hash(k) ^ salt) mod Slots never changes, while the
-// slot→shard ownership table is an immutable snapshot republished by live
-// migrations (route.go, migrate.go) — SplitShard, MergeShards, and the
-// policy-driven Rebalance move slots between shards online, with replies
-// bit-identical to a single Map across the cutover. The salt is derived
-// from the cluster seed, decorrelating shard routing from the intra-shard
-// module routing that uses hash(k) directly. Batches scatter into
-// per-shard sub-batches with one stable counting sort (the reply-assembly
-// idiom of internal/pim/reliable.go), execute shards in parallel, and
-// gather replies back into the caller's submission order. A coalesced
-// flush's Upsert, Delete, Get and Successor sub-batches share one such
-// scatter/gather (TryFlush), each shard running its share of them back to
-// back. See docs/CLUSTER.md and docs/REBALANCE.md.
+// Routing preserves key order: a key's slot is its rank among Slots−1
+// sorted splitter keys, taken from the first Upsert into the empty cluster
+// and re-cut from a shard's data inside its runs when it splits, and an
+// epoch-versioned slot→shard table maps slots to owners (route.go). Epoch 0 deals the slots to shards in contiguous blocks; live
+// migrations (migrate.go) — SplitShard, MergeShards, and the policy-driven
+// Rebalance — move slots between shards online and republish the table,
+// with replies bit-identical to a single Map across the cutover. Inside
+// each shard, core still hashes (key, level) to modules, so one batch's
+// skew cannot pile onto one module. Batches scatter into per-shard
+// sub-batches with one stable counting sort (the reply-assembly idiom of
+// internal/pim/reliable.go), execute shards in parallel, and gather replies
+// back into the caller's submission order. A coalesced flush's Upsert,
+// Delete, Get and Successor sub-batches share one such scatter/gather
+// (TryFlush), each shard running its share of them back to back. A
+// Successor goes to the owner of its key's slot like a point op; the rare
+// one whose answer may lie past the owner's run is asked again of every
+// shard in one follow-up fan-out. See docs/CLUSTER.md and docs/REBALANCE.md.
 package cluster
 
 import (
@@ -32,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"pimgo/internal/core"
-	"pimgo/internal/rng"
 	"pimgo/internal/trace"
 )
 
@@ -42,9 +44,10 @@ var (
 	ErrBadConfig = errors.New("pimgo: invalid cluster configuration")
 	// ErrShardDown reports that a shard is permanently down (recovery
 	// disabled, exhausted, or stopped by the caller). Point-op batches
-	// surface it per key in the errs slice; order queries (Successor,
-	// RangeOperation) surface it on every result, since any down shard
-	// could hold the answer.
+	// surface it per key in the errs slice. A Successor surfaces it when a
+	// shard it had to ask is down: its slot's owner, or, when the owner's
+	// answer was not final, any shard. RangeOperation surfaces it on every
+	// result, since any down shard could hold part of a range.
 	ErrShardDown = errors.New("pimgo: shard is down")
 	// ErrShardDraining reports a mutating batch routed to a draining shard.
 	ErrShardDraining = errors.New("pimgo: shard is draining")
@@ -97,14 +100,21 @@ type Config struct {
 	// migrations (SplitShard/MergeShards/Rebalance) grow and shrink the
 	// active roster afterwards.
 	Shards int
-	// Slots is the number of routing slots keys hash into; slot ownership —
-	// not the key hash — is what migrations move, so Slots bounds rebalancing
-	// granularity and never changes after construction. 0 selects
-	// max(256, Shards); otherwise it must be ≥ Shards so every shard can own
-	// at least one slot.
+	// Slots is the number of routing slots. A key's slot is its rank among
+	// Slots−1 splitter keys, the Slots-quantiles of the first Upsert
+	// sub-batch that reaches the empty cluster; slot ownership is what
+	// migrations move, so Slots bounds rebalancing granularity and never
+	// changes after construction. 0 selects max(256, Shards); otherwise it
+	// must be ≥ Shards so every shard can own at least one slot.
+	//
+	// The first Upsert should sample the whole key range. A load in key
+	// order, a small first batch, or keys that keep growing past the first
+	// batch's largest put most keys in the first or last slot, on one
+	// shard; only splits, which re-cut the splitters inside the split
+	// shard's runs from its data (SplitShard), spread them again.
 	Slots int
-	// Seed drives the routing salt and the per-shard core seeds. Clusters
-	// with equal seeds are bit-identical.
+	// Seed drives the per-shard core seeds. Clusters with equal seeds are
+	// bit-identical.
 	Seed uint64
 	// Shard is the template core.Config every shard machine is built from.
 	// Its Seed, Fault, and Trace fields must be zero — the cluster derives
@@ -192,14 +202,13 @@ func (s Stats) TotalPIMWork() int64 {
 	return v
 }
 
-// Cluster is a sharded map: N core.Map shards behind a deterministic hash
-// router with the full batch API. Like core.Map it is single-driver — one
-// batch at a time, concurrent callers fail typed with ErrConcurrentBatch —
-// but within a batch the shards execute in parallel.
+// Cluster is a sharded map: N core.Map shards behind a deterministic
+// order-preserving router with the full batch API. Like core.Map it is
+// single-driver — one batch at a time, concurrent callers fail typed with
+// ErrConcurrentBatch — but within a batch the shards execute in parallel.
 type Cluster[K cmp.Ordered, V any] struct {
 	cfg  Config
 	hash func(K) uint64
-	salt uint64
 
 	// view is the current routing epoch (slot table + shard roster). It is
 	// replaced — never mutated — and only while the batch gate is held, so
@@ -221,8 +230,8 @@ type Cluster[K cmp.Ordered, V any] struct {
 }
 
 // Flush positions: the order in which one shard runs a flush's sub-batches
-// (writes before reads). The first three are routed point kinds; the last
-// is the Successor broadcast.
+// (writes before reads). All four are routed by key; a shard's point
+// replies are handed over between its Get and Successor shares.
 const (
 	posUpsert = iota
 	posDelete
@@ -235,16 +244,19 @@ const (
 var posKind = [flushKinds]batchKind{opUpsert, opDelete, opGet, opSucc}
 
 // clusterWS is one call's workspace, reused across calls so the
-// steady-state path allocates only for growth: the routing of each point
-// sub-batch, and each shard's queued sub-batches with their reply buffers.
+// steady-state path allocates only for growth: the routing of each
+// sub-batch, each shard's queued sub-batches with their reply buffers, and
+// the Successor misses with the fallback broadcast's keys.
 type clusterWS[K cmp.Ordered, V any] struct {
-	pt   [posSucc]scatter[K, V] // indexed by point position
-	work []shardWork[K, V]      // indexed by shard id
+	pt       [flushKinds]scatter[K, V] // indexed by flush position
+	work     []shardWork[K, V]         // indexed by shard id
+	miss     []int                     // submission indices of the Successor misses
+	missKeys []K                       // their keys, the fallback's batch
 }
 
-// scatter is one point sub-batch routed shard-major.
+// scatter is one sub-batch routed shard-major.
 type scatter[K cmp.Ordered, V any] struct {
-	home   []int // shard of keys[i]
+	slot   []int // routing slot of keys[i]
 	counts []int // per-shard sub-batch sizes
 	starts []int // per-shard start offsets into keys
 	order  []int // submission index in scatter position
@@ -302,10 +314,13 @@ type Flush[K cmp.Ordered, V any] struct {
 	OnShard func(shard int, ups, dels, gets []int, uerr, derr, gerr error)
 }
 
-// New builds a cluster per cfg. hash is the key hasher shared by the router
-// and every shard (see core.Uint64Hash). Construction faults — including a
-// shard machine that dies during initial bring-up — are returned, with any
-// already-started shards closed.
+// New builds a cluster per cfg. hash is every shard's key hasher, which
+// spreads a shard's keys over its modules (see core.Uint64Hash); routing
+// across shards uses key order, not the hash. The cluster starts empty, and
+// its first Upsert sets the splitters (see Config.Slots), so load it with
+// a batch that samples the data's key range. Construction faults —
+// including a shard machine that dies during initial bring-up — are
+// returned, with any already-started shards closed.
 func New[K cmp.Ordered, V any](cfg Config, hash func(K) uint64) (*Cluster[K, V], error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("%w: Shards must be >= 1, got %d", ErrBadConfig, cfg.Shards)
@@ -331,11 +346,7 @@ func New[K cmp.Ordered, V any](cfg Config, hash func(K) uint64) (*Cluster[K, V],
 	if cfg.Slots < cfg.Shards {
 		return nil, fmt.Errorf("%w: Slots (%d) must be >= Shards (%d)", ErrBadConfig, cfg.Slots, cfg.Shards)
 	}
-	c := &Cluster[K, V]{
-		cfg:  cfg,
-		hash: hash,
-		salt: rng.Mix64(cfg.Seed ^ saltRouter),
-	}
+	c := &Cluster[K, V]{cfg: cfg, hash: hash}
 	shards := make([]*shard[K, V], cfg.Shards)
 	for i := range shards {
 		s := &shard[K, V]{c: c, id: i}
@@ -353,19 +364,16 @@ func New[K cmp.Ordered, V any](cfg Config, hash func(K) uint64) (*Cluster[K, V],
 		}
 		shards[i] = s
 	}
-	// Epoch 0: slots dealt round-robin, the same balanced assignment the
-	// fixed mod-N router produced.
+	// Epoch 0: slots dealt in contiguous blocks, so each shard owns one run
+	// of consecutive slots — one key range — and a Successor rarely crosses
+	// a fence.
 	slots := make([]int32, cfg.Slots)
 	for j := range slots {
-		slots[j] = int32(j % cfg.Shards)
+		slots[j] = int32(j * cfg.Shards / cfg.Slots)
 	}
-	c.view.store(newEpochView(0, slots, shards))
+	c.view.store(newEpochView(0, nil, slots, shards))
 	return c, nil
 }
-
-// saltRouter decorrelates the router's hash draw from the per-shard module
-// routing, which consumes hash(k) directly.
-const saltRouter = 0x7c15_9d2b_4bfa_8e63
 
 // Shards returns the current number of shards, including retired ones
 // (shard ids are stable; splits append, merges retire in place).
@@ -373,13 +381,10 @@ func (c *Cluster[K, V]) Shards() int { return len(c.view.load().shards) }
 
 // ShardFor returns the shard key routes to in the current epoch: the owner
 // of the key's routing slot. Within one epoch the routing is a pure
-// function of (hash, Seed, Slots, table): independent of GOMAXPROCS,
-// insertion history, and shard health — a down shard still owns its keys.
-// Across epochs only migrated slots change owner.
-func (c *Cluster[K, V]) ShardFor(key K) int {
-	v := c.view.load()
-	return int(v.slots[c.slotOf(key, len(v.slots))])
-}
+// function of (splitters, table): independent of GOMAXPROCS and shard
+// health — a down shard still owns its keys. Across epochs only migrated
+// slots change owner.
+func (c *Cluster[K, V]) ShardFor(key K) int { return c.view.load().shardOf(key) }
 
 // Len returns the committed number of keys across all shards, including
 // those owned by down shards (their journaled state still defines the
@@ -432,16 +437,16 @@ func (c *Cluster[K, V]) begin() error {
 
 func (c *Cluster[K, V]) end() { c.inBatch.Store(false) }
 
-// scatterInto routes one point sub-batch's keys (and vals, when non-nil)
-// into shard-major, submission-order-within-shard position using one
-// stable counting sort — the reply-assembly idiom of the reliable
-// transport. After scatter, sc.starts[s]..starts[s]+counts[s] is shard s's
-// sub-batch and sc.order[j] is the submission index occupying scatter
-// position j, which gather uses to put replies back into the caller's order.
-func (c *Cluster[K, V]) scatterInto(sc *scatter[K, V], v *epochView[K, V], keys []K, vals []V) {
+// route scatters one sub-batch's keys (and vals, when non-nil) into
+// shard-major, submission-order-within-shard position using one stable
+// counting sort — the reply-assembly idiom of the reliable transport. After
+// it, sc.starts[s]..starts[s]+counts[s] is shard s's sub-batch and
+// sc.order[j] is the submission index occupying scatter position j, which
+// gather uses to put replies back into the caller's order.
+func (sc *scatter[K, V]) route(v *epochView[K, V], keys []K, vals []V) {
 	n := len(keys)
 	ns := len(v.shards)
-	sc.home = resize(sc.home, n)
+	sc.slot = resize(sc.slot, n)
 	sc.order = resize(sc.order, n)
 	sc.keys = resize(sc.keys, n)
 	sc.counts = resize(sc.counts, ns)
@@ -451,9 +456,9 @@ func (c *Cluster[K, V]) scatterInto(sc *scatter[K, V], v *epochView[K, V], keys 
 	}
 	clear(sc.counts)
 	for i, k := range keys {
-		h := int(v.slots[c.slotOf(k, len(v.slots))])
-		sc.home[i] = h
-		sc.counts[h]++
+		j := v.slot(k)
+		sc.slot[i] = j
+		sc.counts[v.slots[j]]++
 	}
 	sum := 0
 	for s := 0; s < ns; s++ {
@@ -462,8 +467,9 @@ func (c *Cluster[K, V]) scatterInto(sc *scatter[K, V], v *epochView[K, V], keys 
 		sc.counts[s] = sc.starts[s] // reuse as running cursor
 	}
 	for i, k := range keys {
-		j := sc.counts[sc.home[i]]
-		sc.counts[sc.home[i]]++
+		h := v.slots[sc.slot[i]]
+		j := sc.counts[h]
+		sc.counts[h]++
 		sc.order[j] = i
 		sc.keys[j] = k
 		if vals != nil {
@@ -500,7 +506,8 @@ func (c *Cluster[K, V]) resetWork(v *epochView[K, V]) []shardWork[K, V] {
 // in parallel: one goroutine per shard with work, the calling goroutine
 // driving the last. Each shard's replies land in its own work slots and, for
 // a flush f, at its own positions of f, so assembly is deterministic
-// regardless of goroutine scheduling. A range call passes a nil f.
+// regardless of goroutine scheduling. A range call and the Successor
+// fallback pass a nil f.
 func (c *Cluster[K, V]) runShards(v *epochView[K, V], work []shardWork[K, V], f *Flush[K, V]) {
 	var wg sync.WaitGroup
 	last := -1
@@ -577,26 +584,28 @@ func unscatter[K cmp.Ordered, V any, T any](sc *scatter[K, V], s int, rep *shard
 	return idx, nil
 }
 
-// runFlush routes f's point sub-batches, runs the flush and gathers its
-// replies into f. Routing within an epoch is a pure function of (hash,
-// Seed, table): it reads no shard state, and the epoch cannot change while
-// the gate is held (migrations need the gate to publish). Each shard's
-// goroutine runs that shard's sub-batches back to back in position
-// order, so writes precede reads without a cross-shard barrier: shards own
-// disjoint keys, and a shard's Successor partial reads only that shard,
-// after that shard's writes. Each non-empty mutating sub-batch draws one
-// cluster-wide commit sequence number, Upsert before Delete, shared by
-// every shard's share of it (see Cluster.mutSeq) — the draws TryUpsert then
-// TryDelete make. Each shard's point results reach f from the shard's own
-// goroutine before its Successor share runs; only the error surfaces and
-// the Successor merge wait for every shard.
+// runFlush routes f's sub-batches, runs the flush and gathers its replies
+// into f. Routing within an epoch is a pure function of (splitters, table):
+// it reads no shard state, and the epoch cannot change while the gate is
+// held (migrations and splitFirst need the gate to publish). Each shard's
+// goroutine runs that shard's sub-batches back to back in position order,
+// so writes precede reads without a cross-shard barrier: shards own
+// disjoint keys, and a shard's Successor share reads only that shard, after
+// that shard's writes; the fallback for Successor misses runs after every
+// shard's share. Each non-empty mutating sub-batch draws one cluster-wide
+// commit sequence number, Upsert before Delete, shared by every shard's
+// share of it (see Cluster.mutSeq) — the draws TryUpsert then TryDelete
+// make. Each shard's point results reach f from the shard's own goroutine
+// before its Successor share runs; only the error surfaces and the
+// Successor replies wait for every shard.
 func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
-	ws, v := &c.ws, c.view.load()
-	c.scatterInto(&ws.pt[posUpsert], v, f.UpsertKeys, f.UpsertVals)
-	c.scatterInto(&ws.pt[posDelete], v, f.DeleteKeys, nil)
-	c.scatterInto(&ws.pt[posGet], v, f.GetKeys, nil)
+	ws, v := &c.ws, c.splitFirst(c.view.load(), f.UpsertKeys)
+	ws.pt[posUpsert].route(v, f.UpsertKeys, f.UpsertVals)
+	ws.pt[posDelete].route(v, f.DeleteKeys, nil)
+	ws.pt[posGet].route(v, f.GetKeys, nil)
+	ws.pt[posSucc].route(v, f.SuccKeys, nil)
 	work := c.resetWork(v)
-	batch := len(f.SuccKeys)
+	batch := 0
 	for k := range ws.pt {
 		sc := &ws.pt[k]
 		if len(sc.keys) == 0 {
@@ -620,14 +629,6 @@ func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
 			work[s].queued[k], work[s].b[k] = true, b
 		}
 	}
-	if len(f.SuccKeys) > 0 {
-		for s := range work {
-			if v.owned[s] == 0 {
-				continue // retired: owns no keys, cannot hold any answer
-			}
-			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: f.SuccKeys}
-		}
-	}
 	// The point results are copied on the shard goroutines (gatherShard),
 	// into buffers sized here.
 	f.Upserted = resize(f.Upserted, len(f.UpsertKeys))
@@ -638,14 +639,16 @@ func (c *Cluster[K, V]) runFlush(f *Flush[K, V]) Stats {
 	f.UpsertErrs = pointErrs(&ws.pt[posUpsert], work, posUpsert)
 	f.DeleteErrs = pointErrs(&ws.pt[posDelete], work, posDelete)
 	f.GetErrs = pointErrs(&ws.pt[posGet], work, posGet)
-	f.Succs, f.SuccErrs = gatherSucc(work, len(f.SuccKeys), f.Succs)
-	return c.finish(batch, work)
+	st := Stats{Batch: batch, Shards: make([]core.BatchStats, len(work))}
+	tally(&st, work)
+	c.gatherSucc(f, v, work, &st)
+	return st
 }
 
-// pointErrs builds one point sub-batch's per-key error surface: nil when
+// pointErrs builds one routed sub-batch's per-key error surface: nil when
 // every shard served it; otherwise each position of a failed shard carries
-// that shard's error (gatherShard zeroed its result) — the degraded-mode
-// surface: a down shard fails its own keys, never the whole batch.
+// that shard's error — the degraded-mode surface: a down shard fails its
+// own keys, never the whole batch.
 func pointErrs[K cmp.Ordered, V any](sc *scatter[K, V], work []shardWork[K, V], pos int) []error {
 	var errs []error
 	for s, cnt := range sc.counts {
@@ -662,53 +665,84 @@ func pointErrs[K cmp.Ordered, V any](sc *scatter[K, V], work []shardWork[K, V], 
 	return errs
 }
 
-// gatherSucc combines the Successor broadcast's per-shard partials into
-// dst, resized to n: for each key, the smallest successor any shard found.
-// If any shard failed, the whole query is unanswerable (any down shard
-// could hold the answer): every position carries that shard's error and a
-// zero result.
-func gatherSucc[K cmp.Ordered, V any](work []shardWork[K, V], n int, dst []core.SearchResult[K, V]) ([]core.SearchResult[K, V], []error) {
-	dst = resize(dst, n)
-	clear(dst)
-	if n == 0 {
-		return dst, nil
+// gatherSucc puts the Successor replies into f. Each query went to the
+// owner of its key's slot: a failed owner fails it, and a served owner's
+// answer stands when it is final (epochView.final). The rest — the misses,
+// whose answer may lie past the owner's run — are asked of every active
+// shard in one follow-up fan-out, whose costs join st, and take the
+// smallest key any shard found. That fan-out is all or nothing, as a
+// broadcast must be: if any shard fails it, every miss carries that
+// shard's error and a zero result.
+func (c *Cluster[K, V]) gatherSucc(f *Flush[K, V], v *epochView[K, V], work []shardWork[K, V], st *Stats) {
+	ws, sc := &c.ws, &c.ws.pt[posSucc]
+	f.Succs = resize(f.Succs, len(f.SuccKeys))
+	f.SuccErrs = pointErrs(sc, work, posSucc)
+	ws.miss = ws.miss[:0]
+	for s, cnt := range sc.counts {
+		if cnt == 0 {
+			continue
+		}
+		rep := &work[s].rep[posSucc]
+		for j, i := range sc.order[sc.starts[s] : sc.starts[s]+cnt] {
+			f.Succs[i] = core.SearchResult[K, V]{}
+			switch {
+			case rep.err != nil:
+			case v.final(sc.slot[i], rep.succs[j]):
+				f.Succs[i] = rep.succs[j]
+			default:
+				ws.miss = append(ws.miss, i)
+			}
+		}
 	}
-	if errs := broadcastErrs(work, posSucc, n); errs != nil {
-		return dst, errs
+	if len(ws.miss) == 0 {
+		return
+	}
+	ws.missKeys = ws.missKeys[:0]
+	for _, i := range ws.miss {
+		ws.missKeys = append(ws.missKeys, f.SuccKeys[i])
+	}
+	work = c.resetWork(v)
+	for s := range work {
+		if v.owned[s] != 0 { // a retired shard owns no keys
+			work[s].queued[posSucc], work[s].b[posSucc] = true, shardBatch[K, V]{kind: opSucc, keys: ws.missKeys}
+		}
+	}
+	c.runShards(v, work, nil)
+	tally(st, work)
+	if err := broadcastErr(work, posSucc); err != nil {
+		if f.SuccErrs == nil {
+			f.SuccErrs = make([]error, len(f.SuccKeys))
+		}
+		for _, i := range ws.miss {
+			f.SuccErrs[i] = err
+		}
+		return
 	}
 	for s := range work {
 		if !work[s].queued[posSucc] {
-			continue // retired shard, skipped by the broadcast
+			continue
 		}
-		for i, r := range work[s].rep[posSucc].succs[:n] {
-			if r.Found && (!dst[i].Found || r.Key < dst[i].Key) {
-				dst[i] = r
+		for j, r := range work[s].rep[posSucc].succs {
+			if i := ws.miss[j]; r.Found && (!f.Succs[i].Found || r.Key < f.Succs[i].Key) {
+				f.Succs[i] = r
 			}
 		}
 	}
-	return dst, nil
 }
 
-// broadcastErrs builds the all-or-nothing error surface of broadcast
-// queries: nil when every shard answered, else every position carries the
-// first failed shard's error.
-func broadcastErrs[K cmp.Ordered, V any](work []shardWork[K, V], pos, n int) []error {
+// broadcastErr is the all-or-nothing error of a broadcast queued at pos:
+// the first failed shard's error, nil when every shard answered.
+func broadcastErr[K cmp.Ordered, V any](work []shardWork[K, V], pos int) error {
 	for s := range work {
 		if err := work[s].rep[pos].err; work[s].queued[pos] && err != nil {
-			errs := make([]error, n)
-			for i := range errs {
-				errs[i] = err
-			}
-			return errs
+			return err
 		}
 	}
 	return nil
 }
 
-// finish assembles the call's Stats: each shard's cost summed over the
-// sub-batches it ran.
-func (c *Cluster[K, V]) finish(batch int, work []shardWork[K, V]) Stats {
-	st := Stats{Batch: batch, Shards: make([]core.BatchStats, len(work))}
+// tally adds to st each shard's cost for the sub-batches queued in work.
+func tally[K cmp.Ordered, V any](st *Stats, work []shardWork[K, V]) {
 	for s := range work {
 		for k := range work[s].rep {
 			if work[s].queued[k] {
@@ -717,7 +751,6 @@ func (c *Cluster[K, V]) finish(batch int, work []shardWork[K, V]) Stats {
 			}
 		}
 	}
-	return st
 }
 
 // TryFlush runs one coalesced flush — its Upsert, Delete, Get and
@@ -772,11 +805,15 @@ func (c *Cluster[K, V]) TryDelete(keys []K) (res []bool, errs []error, st Stats,
 }
 
 // TrySuccessor finds, for each key, the smallest key ≥ it anywhere in the
-// cluster: TryFlush with only a Successor sub-batch. Keys are hash-routed,
-// so every shard may hold the answer: the query broadcasts to all shards
-// and gathers by minimum found key. If any shard is down the whole query
-// is unanswerable — every errs[i] carries that shard's error and res is
-// zero.
+// cluster: TryFlush with only a Successor sub-batch. Routing preserves key
+// order, so each query goes to the owner of its key's slot, whose answer is
+// final when it lies below the upper fence of the owner's run of
+// consecutive slots, or when that fence is +∞ (the run reaches the last
+// slot, or no splitter bounds it). The rare misses are asked again of
+// every active shard in one follow-up fan-out and take the smallest key
+// found. errs is nil when every shard asked served; otherwise errs[i] is a
+// typed error (ErrShardDown, ...), with a zero res[i], for a query whose
+// owner failed, and for every miss if any shard failed the fan-out.
 func (c *Cluster[K, V]) TrySuccessor(keys []K) (res []core.SearchResult[K, V], errs []error, st Stats, err error) {
 	f := Flush[K, V]{SuccKeys: keys}
 	st, err = c.TryFlush(&f)
@@ -788,12 +825,11 @@ func (c *Cluster[K, V]) TrySuccessor(keys []K) (res []core.SearchResult[K, V], e
 const posRange = 0
 
 // TryRangeOperation executes a batch of range operations cluster-wide.
-// Ranges span shards (routing is by hash, not by interval), so each op
-// broadcasts to every shard and the per-shard partials combine exactly:
-// counts sum, pairs merge ascending, reductions fold (Op.Init must be the
-// identity element, as core documents), transforms apply shard-locally.
-// Error surface as TrySuccessor: any down shard fails the whole batch's
-// results with per-op typed errors.
+// Each op broadcasts to every active shard and the per-shard partials
+// combine exactly: counts sum, pairs merge ascending, reductions fold
+// (Op.Init must be the identity element, as core documents), transforms
+// apply shard-locally. Any down shard fails the whole batch's results with
+// per-op typed errors.
 func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.RangeResult[K, V], errs []error, st Stats, err error) {
 	if err := c.begin(); err != nil {
 		return nil, nil, Stats{}, err
@@ -810,7 +846,12 @@ func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.
 	}
 	c.runShards(v, work, nil)
 	res = make([]core.RangeResult[K, V], len(ops))
-	if errs = broadcastErrs(work, posRange, len(ops)); errs == nil {
+	if err := broadcastErr(work, posRange); err != nil {
+		errs = make([]error, len(ops))
+		for i := range errs {
+			errs[i] = err
+		}
+	} else {
 		for i := range ops {
 			res[i] = c.mergeRange(ops[i], work, i)
 		}
@@ -818,7 +859,9 @@ func (c *Cluster[K, V]) TryRangeOperation(ops []core.RangeOp[K, V]) (res []core.
 	for s := range work {
 		work[s].rep[posRange].ranges = nil // merged; don't pin the partials
 	}
-	return res, errs, c.finish(len(ops), work), nil
+	st = Stats{Batch: len(ops), Shards: make([]core.BatchStats, len(work))}
+	tally(&st, work)
+	return res, errs, st, nil
 }
 
 // mergeRange combines one op's per-shard partial results.

@@ -49,6 +49,67 @@ func noErrs(t *testing.T, errs []error, op string) {
 	}
 }
 
+// succMiss reports whether Successor(q), whose cluster-wide answer is want,
+// is a miss on c: whether the owner of q's slot cannot answer it alone, so
+// the cluster asks every shard. The owner holds every key of its run of
+// consecutive slots from q's slot on, so its answer is final when want
+// lies in that run or the run reaches the last slot. c must hold all
+// Slots−1 splitters, as the first Upsert sets them (a missing splitter is
+// +∞, which makes every answer below it final).
+func succMiss(c *Cluster[uint64, int64], q uint64, want core.SearchResult[uint64, int64]) bool {
+	owner, e := c.ShardFor(q), c.SlotOf(q)
+	for e+1 < c.Slots() && c.ShardOfSlot(e+1) == owner {
+		e++
+	}
+	return e < c.Slots()-1 && !(want.Found && c.SlotOf(want.Key) <= e)
+}
+
+// slotFences returns every key x in (lo, hi] whose slot differs from
+// x−1's: the splitters that fall inside the domain.
+func slotFences(c *Cluster[uint64, int64], lo, hi uint64) []uint64 {
+	var fences []uint64
+	for x := lo + 1; x <= hi; x++ {
+		if c.SlotOf(x) != c.SlotOf(x-1) {
+			fences = append(fences, x)
+		}
+	}
+	return fences
+}
+
+// checkDegradedSucc holds a Successor batch on a cluster with down shards to
+// the per-query error surface: a query fails typed with ErrShardDown and a
+// zero result exactly when a shard it had to ask is down — its owner, or,
+// for a miss, any shard — and every other query answers as the oracle. It
+// returns the number of failed queries and of misses among them.
+func checkDegradedSucc(t *testing.T, c *Cluster[uint64, int64], om *core.Map[uint64, int64], qs []uint64, down func(shard int) bool) (failed, misses int) {
+	t.Helper()
+	got, errs, _, err := c.TrySuccessor(qs)
+	if err != nil {
+		t.Fatalf("TrySuccessor: %v", err)
+	}
+	want, _ := om.Successor(qs)
+	for i, q := range qs {
+		miss := succMiss(c, q, want[i])
+		if down(c.ShardFor(q)) || miss {
+			failed++
+			if miss {
+				misses++
+			}
+			if errs == nil || !errors.Is(errs[i], ErrShardDown) || got[i] != (core.SearchResult[uint64, int64]{}) {
+				t.Fatalf("Successor(%d) (shard %d, miss %v): %+v / %v, want zero / ErrShardDown", q, c.ShardFor(q), miss, got[i], errs)
+			}
+			continue
+		}
+		if (errs != nil && errs[i] != nil) || got[i] != want[i] {
+			t.Fatalf("Successor(%d) (shard %d): %+v / %v, oracle %+v", q, c.ShardFor(q), got[i], errs, want[i])
+		}
+	}
+	if failed == len(qs) {
+		t.Fatalf("every one of %d Successors failed; the check proves nothing about served queries", len(qs))
+	}
+	return failed, misses
+}
+
 // TestClusterConfigValidation exercises the constructor's typed rejections.
 func TestClusterConfigValidation(t *testing.T) {
 	bad := []Config{
@@ -392,9 +453,14 @@ func TestClusterLifecycleContract(t *testing.T) {
 			t.Fatalf("key %d on healthy shard: %+v / %v (oracle %+v)", keys[i], got[i], errs[i], want[i])
 		}
 	}
-	// Order queries are unanswerable with a down shard.
-	if _, errs, _, _ := c.TrySuccessor(keys[:5]); errs == nil || !errors.Is(errs[0], ErrShardDown) {
-		t.Fatalf("Successor with down shard: errs %v", errs)
+	// Successors fail typed where they had to ask the down shard, and
+	// answer as the oracle everywhere else.
+	qs := make([]uint64, 0, len(keys)+2)
+	for q := uint64(0); q <= uint64(len(keys))+1; q++ {
+		qs = append(qs, q)
+	}
+	if failed, _ := checkDegradedSucc(t, c, om, qs, func(s int) bool { return s == 0 }); failed == 0 {
+		t.Fatal("no Successor routed to the down shard")
 	}
 	if err := c.StopShard(0); !errors.Is(err, ErrShardState) {
 		t.Fatalf("double StopShard: %v", err)
@@ -471,6 +537,33 @@ func TestClusterDegradedMode(t *testing.T) {
 			if st := c.ShardStats(i); st.State != ShardRunning {
 				t.Fatalf("shard %d state %v", i, st.State)
 			}
+		}
+	}
+}
+
+// TestClusterLifecycleBadShardID: StartShard, DrainShard and StopShard
+// fail typed with ErrBadConfig, instead of panicking, on an id that names
+// no shard — negative, or ≥ Shards() — and leave every shard as it was.
+func TestClusterLifecycleBadShardID(t *testing.T) {
+	c := newTestCluster(t, 2)
+	calls := []struct {
+		name string
+		call func(int) error
+	}{
+		{"StartShard", c.StartShard},
+		{"DrainShard", c.DrainShard},
+		{"StopShard", c.StopShard},
+	}
+	for _, tc := range calls {
+		for _, id := range []int{-1, -1 << 20, c.Shards(), c.Shards() + 3, 5} {
+			if err := tc.call(id); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s(%d) = %v, want ErrBadConfig", tc.name, id, err)
+			}
+		}
+	}
+	for s := 0; s < c.Shards(); s++ {
+		if st := c.ShardStats(s).State; st != ShardRunning {
+			t.Errorf("shard %d: state %v after rejected calls, want running", s, st)
 		}
 	}
 }

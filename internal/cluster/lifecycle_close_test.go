@@ -196,10 +196,13 @@ func TestJournalGrowthObservable(t *testing.T) {
 	}
 }
 
-// TestDegradedBroadcasts pins the broadcast error surface with one shard
-// Down: Successor and RangeOperation are unanswerable (any down shard could
-// hold the answer) and fail every position with typed ErrShardDown, while
-// point ops on healthy shards keep serving bit-identically to the oracle.
+// TestDegradedBroadcasts pins the order-query error surface with one shard
+// Down. A Successor fails typed with ErrShardDown exactly when it had to ask
+// the down shard — it routes there, or it is a miss, which asks every
+// shard — and otherwise answers as the oracle. RangeOperation stays all or
+// nothing (any down shard could hold part of a range): every position fails
+// typed. Point ops on healthy shards keep serving bit-identically to the
+// oracle.
 func TestDegradedBroadcasts(t *testing.T) {
 	const victim = 1
 	c := newTestCluster(t, 3)
@@ -210,22 +213,18 @@ func TestDegradedBroadcasts(t *testing.T) {
 		t.Fatalf("StopShard: %v", err)
 	}
 
-	// Broadcasts: every position errors typed; results are zero.
-	succs, errs, _, err := c.TrySuccessor(keys[:50])
-	if err != nil {
-		t.Fatalf("TrySuccessor: %v", err)
+	// Successors: the fill's keys, and the keys around every slot fence,
+	// where the misses are.
+	qs := append([]uint64(nil), keys[:50]...)
+	for _, x := range slotFences(c, 0, 1<<14+1) {
+		qs = append(qs, x-1, x, x+1)
 	}
-	if errs == nil {
-		t.Fatal("TrySuccessor with a down shard returned no errors")
+	failed, misses := checkDegradedSucc(t, c, om, qs, func(s int) bool { return s == victim })
+	if failed == misses || misses == 0 {
+		t.Fatalf("%d Successors failed, %d of them misses; want both routed and missed failures", failed, misses)
 	}
-	for i, e := range errs {
-		if !errors.Is(e, ErrShardDown) {
-			t.Fatalf("Successor errs[%d] = %v, want ErrShardDown", i, e)
-		}
-		if succs[i].Found {
-			t.Fatalf("Successor res[%d] = %+v alongside an error", i, succs[i])
-		}
-	}
+
+	// Ranges: every position errors typed; results are zero.
 	ops := []core.RangeOp[uint64, int64]{
 		{Lo: 0, Hi: 1 << 13, Kind: core.RangeCount},
 		{Lo: 0, Hi: 1 << 13, Kind: core.RangeRead},

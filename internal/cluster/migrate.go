@@ -10,9 +10,11 @@
 //     so the base snapshot IS the committed state and the journal suffix
 //     collected from here on is exactly the batches acked during the copy.
 //  2. Copy (gate released — client traffic flows): partition the frozen
-//     bases by the new table, sort each partition, and bulk-load one fresh
-//     incarnation per surviving member. New incarnations are invisible:
-//     they are built with a nil trace sink and referenced by nothing.
+//     bases by the new table (a split's re-cut splitters, new owners), sort
+//     each partition, and bulk-load one fresh incarnation per surviving
+//     member.
+//     New incarnations are invisible: they are built with a nil trace sink
+//     and referenced by nothing.
 //  3. Cutover (gate reacquired — mutations frozen): sources enter the
 //     ShardDraining state, the journal suffixes of all affected shards are
 //     merged into global commit order by the cluster-wide sequence number,
@@ -93,9 +95,12 @@ type MigrationReport struct {
 	Stats core.BatchStats
 }
 
-// SplitShard splits shard src: the latter half of its owned routing slots
+// SplitShard splits shard src: the upper half of its owned routing slots
 // moves to a freshly created shard (returned id == Shards() before the
-// call), migrated live under the three-phase protocol above. It fails typed
+// call), migrated live under the three-phase protocol above. The splitters
+// inside src's runs are first re-cut from its frozen base so that each of
+// its slots holds an equal share of its run's keys: a shard owning one run
+// of an even number of slots splits at its median key. It fails typed
 // with ErrRebalancing if another migration is in flight, ErrConcurrentBatch
 // if a batch holds the gate, and ErrShardState if src is not Running or
 // owns fewer than two slots.
@@ -126,7 +131,7 @@ func (c *Cluster[K, V]) SplitShard(src int, opts *MigrateOpts) (int, MigrationRe
 	if c.cfg.Trace != nil {
 		ns.sink = trace.Shard(tgt, c.cfg.Trace(tgt))
 	}
-	rep, err := c.migrate(base, newSlots, []*shard[K, V]{ns}, opts)
+	rep, err := c.migrate(base, newSlots, []*shard[K, V]{ns}, src, opts)
 	if err != nil {
 		return -1, rep, err
 	}
@@ -156,7 +161,7 @@ func (c *Cluster[K, V]) MergeShards(dst, src int, opts *MigrateOpts) (MigrationR
 			newSlots[j] = int32(dst)
 		}
 	}
-	return c.migrate(base, newSlots, nil, opts)
+	return c.migrate(base, newSlots, nil, -1, opts)
 }
 
 // incarnation is one surviving shard's replacement state under the new
@@ -184,10 +189,11 @@ type suffixRef[K cmp.Ordered, V any] struct {
 }
 
 // migrate runs the three-phase protocol, moving the cluster from base's
-// table to newSlots (with added appended to the roster). See the package
-// comment at the top of this file for the protocol and its exactly-once
-// argument.
-func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added []*shard[K, V], opts *MigrateOpts) (MigrationReport, error) {
+// table to newSlots (with added appended to the roster) and, when recut is
+// a shard id, re-cutting the splitters inside that shard's runs from its
+// frozen base (epochView.recut). See the package comment at the top of this
+// file for the protocol and its exactly-once argument.
+func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added []*shard[K, V], recut int, opts *MigrateOpts) (MigrationReport, error) {
 	rep := MigrationReport{Epoch: base.id}
 	var onPhase func(string)
 	if opts != nil {
@@ -206,7 +212,14 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 		return rep, fmt.Errorf("%w: routing table changed since the plan was made", ErrRebalancing)
 	}
 
-	nOld, nAll := len(base.shards), len(base.shards)+len(added)
+	// The next view, published at cutover: the new table, with added
+	// appended to the roster, over the same splitters until the recut below.
+	shards := make([]*shard[K, V], 0, len(base.shards)+len(added))
+	shards = append(shards, base.shards...)
+	shards = append(shards, added...)
+	next := newEpochView(base.id+1, base.bounds, newSlots, shards)
+	nOld, nAll := len(base.shards), len(shards)
+	ownedNew := next.owned
 	touched := make([]bool, nAll)
 	for j := range newSlots {
 		if newSlots[j] != base.slots[j] {
@@ -224,10 +237,6 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 		if touched[id] {
 			affected = append(affected, id)
 		}
-	}
-	ownedNew := make([]int, nAll)
-	for _, sh := range newSlots {
-		ownedNew[sh]++
 	}
 
 	// --- Phase 1: freeze (gate held) ---
@@ -304,6 +313,12 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 		s.mu.Lock()
 		froz = append(froz, frozen{s.baseKeys, s.baseVals})
 		s.mu.Unlock()
+		if id == recut {
+			// The frozen base is the shard's committed state, sorted. Keys
+			// the copy phase's batches write land in the same runs, whose
+			// slots belong to shards being rebuilt under both tables.
+			next.bounds = base.recut(id, froz[len(froz)-1].keys)
+		}
 	}
 
 	// --- Phase 2: copy (gate released; client traffic flows) ---
@@ -336,8 +351,7 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 	for k := range affected {
 		fz := froz[k]
 		for i, key := range fz.keys {
-			owner := int(newSlots[c.slotOf(key, len(newSlots))])
-			inc := incByID[owner]
+			inc := incByID[next.shardOf(key)]
 			inc.keys = append(inc.keys, key)
 			inc.vals = append(inc.vals, fz.vals[i])
 		}
@@ -426,7 +440,7 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 	}
 	for _, inc := range incs {
 		for {
-			err := c.replaySuffix(inc, suffix, newSlots, &rep)
+			err := c.replaySuffix(inc, suffix, next, &rep)
 			if err == nil {
 				break
 			}
@@ -454,10 +468,6 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 	}
 
 	// --- Publish ---
-	shards := make([]*shard[K, V], 0, nAll)
-	shards = append(shards, base.shards...)
-	shards = append(shards, added...)
-	next := newEpochView(base.id+1, newSlots, shards)
 	for _, inc := range incs {
 		s := inc.s
 		s.mu.Lock()
@@ -618,11 +628,11 @@ func (c *Cluster[K, V]) buildIncarnation(inc *incarnation[K, V], rep *MigrationR
 }
 
 // replaySuffix applies the merged journal suffix to inc's new incarnation:
-// point entries filtered to the keys inc owns under the new table, and
+// point entries filtered to the keys inc owns in the next view, and
 // broadcast transforms exactly once per seq. It rebuilds inc's new-epoch
 // journal (base = the bulk-loaded partition, entries = its share of the
 // suffix, seqs preserved) along the way.
-func (c *Cluster[K, V]) replaySuffix(inc *incarnation[K, V], suffix []suffixRef[K, V], newSlots []int32, rep *MigrationReport) error {
+func (c *Cluster[K, V]) replaySuffix(inc *incarnation[K, V], suffix []suffixRef[K, V], next *epochView[K, V], rep *MigrationReport) error {
 	inc.entries = nil
 	inc.suffixBatches = 0
 	charge := func(st core.BatchStats) {
@@ -633,7 +643,6 @@ func (c *Cluster[K, V]) replaySuffix(inc *incarnation[K, V], suffix []suffixRef[
 		charge(inc.m.PartialStats())
 		return err
 	}
-	id := int32(inc.s.id)
 	lastTransform := int64(-1)
 	for _, ref := range suffix {
 		e := ref.e
@@ -654,7 +663,7 @@ func (c *Cluster[K, V]) replaySuffix(inc *incarnation[K, V], suffix []suffixRef[
 			var keys []K
 			var vals []V
 			for i, k := range e.keys {
-				if newSlots[c.slotOf(k, len(newSlots))] != id {
+				if next.shardOf(k) != inc.s.id {
 					continue
 				}
 				keys = append(keys, k)

@@ -88,7 +88,18 @@ func TestSplitShardOracleEquivalence(t *testing.T) {
 
 	const src = 1
 	srcLen := c.ShardStats(src).Len
-	// Record routing before: the key's slot must never move, only its owner.
+	// Record routing before: a key's owner may change only by its slot
+	// moving to the target, and its slot only within src's run, which the
+	// split re-cuts.
+	var runLo, runHi int // src's one run of slots, [runLo, runHi]
+	for j := c.Slots() - 1; j >= 0; j-- {
+		if c.ShardOfSlot(j) == src {
+			runLo = j
+			if runHi == 0 {
+				runHi = j
+			}
+		}
+	}
 	slotBefore := make([]int, len(keys))
 	homeBefore := make([]int, len(keys))
 	for i, k := range keys {
@@ -119,8 +130,11 @@ func TestSplitShardOracleEquivalence(t *testing.T) {
 		t.Fatal("migration of a populated shard charged zero rounds")
 	}
 
-	// Routing consistency: slots are immutable; only src's keys may move,
-	// and only to tgt. ShardOfSlot must agree with ShardFor.
+	// Routing consistency: only src's keys may move, and only to tgt; only
+	// their slots may change, within src's run. ShardOfSlot must agree with
+	// ShardFor. The re-cut gives each of the run's slots an equal share of
+	// its keys, so the upper half of the slots takes the upper half of the
+	// keys: the split is at the median.
 	tgtSlots := 0
 	for j := 0; j < c.Slots(); j++ {
 		if c.ShardOfSlot(j) == tgt {
@@ -130,9 +144,15 @@ func TestSplitShardOracleEquivalence(t *testing.T) {
 	if tgtSlots != rep.SlotsMoved {
 		t.Fatalf("tgt owns %d slots, report moved %d", tgtSlots, rep.SlotsMoved)
 	}
+	if got, want := c.ShardStats(tgt).Len, srcLen-srcLen/2; got != want || c.ShardStats(src).Len != srcLen/2 {
+		t.Fatalf("split of %d keys left %d on the source and %d on the target, want %d and %d",
+			srcLen, c.ShardStats(src).Len, got, srcLen/2, want)
+	}
 	for i, k := range keys {
-		if c.SlotOf(k) != slotBefore[i] {
-			t.Fatalf("SlotOf(%d) moved %d -> %d", k, slotBefore[i], c.SlotOf(k))
+		if s := c.SlotOf(k); homeBefore[i] == src && (s < runLo || s > runHi) {
+			t.Fatalf("SlotOf(%d) moved %d -> %d, out of the source's run [%d, %d]", k, slotBefore[i], s, runLo, runHi)
+		} else if homeBefore[i] != src && s != slotBefore[i] {
+			t.Fatalf("SlotOf(%d) moved %d -> %d on an unaffected shard", k, slotBefore[i], s)
 		}
 		h := c.ShardFor(k)
 		if h != c.ShardOfSlot(c.SlotOf(k)) {
@@ -162,6 +182,54 @@ func TestSplitShardOracleEquivalence(t *testing.T) {
 	}
 
 	assertOracleEqual(t, c, om, keys)
+}
+
+// TestSplitShardReCutsUnsplitCluster: when the first Upsert lands while a
+// migration is in flight, it cannot set the splitters, so every key stays
+// in slot 0. A split of slot 0's owner then re-cuts its run from its frozen
+// base, adding the splitters the run needs (the ones past it stay +∞):
+// the keys spread over the run's slots, the split moves the upper half of
+// them, and every reply stays exact — Successors included, whose fence
+// past the last splitter is +∞.
+func TestSplitShardReCutsUnsplitCluster(t *testing.T) {
+	c := newTestCluster(t, 2, func(cfg *Config) { cfg.Slots = 8 })
+	om := newOracle(t)
+	var keys []uint64
+	opts := &MigrateOpts{OnPhase: func(phase string) {
+		if phase == PhaseCopy {
+			keys = fillCluster(t, c, om, 400, 0x5EED_A)
+		}
+	}}
+	if _, _, err := c.SplitShard(1, opts); err != nil {
+		t.Fatalf("SplitShard(1) of the empty cluster: %v", err)
+	}
+	n := c.ShardStats(0).Len
+	if n != om.Len() || n == 0 {
+		t.Fatalf("shard 0 holds %d keys, want all %d", n, om.Len())
+	}
+	for _, k := range keys {
+		if c.SlotOf(k) != 0 {
+			t.Fatalf("SlotOf(%d) = %d before any splitter, want 0", k, c.SlotOf(k))
+		}
+	}
+	assertOracleEqual(t, c, om, keys)
+
+	tgt, _, err := c.SplitShard(0, nil)
+	if err != nil {
+		t.Fatalf("SplitShard(0): %v", err)
+	}
+	if a, b := c.ShardStats(0).Len, c.ShardStats(tgt).Len; a != n/2 || b != n-n/2 {
+		t.Fatalf("split of %d keys left %d and moved %d, want %d and %d", n, a, b, n/2, n-n/2)
+	}
+	used := make(map[int]bool)
+	for _, k := range keys {
+		used[c.SlotOf(k)] = true
+	}
+	if len(used) != 4 || !used[0] || !used[3] {
+		t.Fatalf("keys fill slots %v, want all of shard 0's old run 0..3", used)
+	}
+	probe := append(append([]uint64(nil), keys...), 0, 1<<14, 1<<14+1, ^uint64(0))
+	assertOracleEqual(t, c, om, probe)
 }
 
 // TestMergeShardsOracleEquivalence merges a shard away live and verifies

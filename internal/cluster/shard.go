@@ -27,10 +27,10 @@ const (
 // a batch may carry RangeTransform ops (the journal records only those).
 func (k batchKind) mutates() bool { return k == opUpsert || k == opDelete || k == opRange }
 
-// shardBatch is one shard's slice of a cluster batch. For point ops the
-// keys/vals are the scatter workspace's permuted sub-slices; for broadcast
-// ops (opSucc, opRange) they alias the caller's input, shared read-only by
-// every shard.
+// shardBatch is one shard's slice of a cluster batch. For routed ops the
+// keys/vals are the scatter workspace's permuted sub-slices; for broadcasts
+// (the Successor fallback, opRange) they alias one input shared read-only
+// by every shard.
 type shardBatch[K cmp.Ordered, V any] struct {
 	kind batchKind
 	// seq is the cluster-wide commit sequence number of the batch (0 for
@@ -135,8 +135,7 @@ type shard[K cmp.Ordered, V any] struct {
 	migration  core.BatchStats
 }
 
-// saltShardSeed decorrelates per-shard core seeds from each other and from
-// the router salt.
+// saltShardSeed decorrelates per-shard core seeds from each other.
 const saltShardSeed = 0x1f83_d9ab_fb41_bd6b
 
 // shardConfig derives this shard's core.Config from the cluster template:
@@ -517,14 +516,28 @@ func (c *Cluster[K, V]) ShardStats(i int) ShardStats {
 	return st
 }
 
+// lifecycleShard returns shard i for the lifecycle call op: ErrClosed on a
+// closed cluster, ErrBadConfig if i is not a shard id.
+func (c *Cluster[K, V]) lifecycleShard(op string, i int) (*shard[K, V], error) {
+	if c.closed.Load() {
+		return nil, core.ErrClosed
+	}
+	shards := c.view.load().shards
+	if i < 0 || i >= len(shards) {
+		return nil, fmt.Errorf("%w: %s(%d) of %d shards", ErrBadConfig, op, i, len(shards))
+	}
+	return shards[i], nil
+}
+
 // StartShard brings a Down shard back: a fresh machine is rebuilt from the
 // journal (base + acked batches) and the shard resumes Running. Fails with
-// ErrShardState unless the shard is Down, or ErrClosed on a closed cluster.
+// ErrShardState unless the shard is Down, ErrBadConfig if i is not a shard
+// id, or ErrClosed on a closed cluster.
 func (c *Cluster[K, V]) StartShard(i int) error {
-	if c.closed.Load() {
-		return core.ErrClosed
+	s, err := c.lifecycleShard("StartShard", i)
+	if err != nil {
+		return err
 	}
-	s := c.view.load().shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.migrating {
@@ -548,12 +561,12 @@ func (c *Cluster[K, V]) StartShard(i int) error {
 // mutations fail typed with ErrShardDraining, and the journal is
 // checkpointed so the shard can be stopped with a minimal journal. The
 // checkpoint is best-effort; its error is returned but the shard stays
-// Draining.
+// Draining. A bad shard id fails with ErrBadConfig.
 func (c *Cluster[K, V]) DrainShard(i int) error {
-	if c.closed.Load() {
-		return core.ErrClosed
+	s, err := c.lifecycleShard("DrainShard", i)
+	if err != nil {
+		return err
 	}
-	s := c.view.load().shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.migrating {
@@ -574,12 +587,12 @@ func (c *Cluster[K, V]) DrainShard(i int) error {
 // Its keys answer ErrShardDown until StartShard rebuilds it. Stopping a
 // shard that is already Down — including one already killed by its fault
 // plan — fails typed with ErrShardState, never panics; so does stopping a
-// retired or migrating shard.
+// retired or migrating shard. A bad shard id fails with ErrBadConfig.
 func (c *Cluster[K, V]) StopShard(i int) error {
-	if c.closed.Load() {
-		return core.ErrClosed
+	s, err := c.lifecycleShard("StopShard", i)
+	if err != nil {
+		return err
 	}
-	s := c.view.load().shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.migrating {

@@ -65,8 +65,11 @@ type ClusterStats struct {
 // the cluster's epoch-versioned slot table and gathers exactly-once
 // replies. Each shard's writes and Gets are answered from that shard's
 // goroutine as soon as the shard has run them, while other shards may
-// still be searching; only the Successors, a broadcast to every shard,
-// wait for the whole flush.
+// still be searching; only the Successors — each routed to the shard
+// owning its key, and asked of every shard only when that shard cannot
+// answer alone — wait for the whole flush. On an empty cluster the first
+// flush's Upserts set the routing splitters (cluster.Config.Slots), so
+// load the cluster with a sample of the key range before serving.
 //
 // On top of serving, the frontend can drive the cluster's elasticity: with
 // ClusterConfig.RebalanceEvery set, a background sampler feeds per-window
@@ -85,11 +88,12 @@ type ClusterStats struct {
 // Degraded mode follows the cluster's error surface per key, not per flush:
 // ops routed to a down shard fail with cluster.ErrShardDown (a write
 // superseding chain on a down shard fails the whole chain — the key's
-// presence is unknowable); ops on healthy shards are unaffected. Successor
-// broadcasts are all-or-nothing, as in cluster.TrySuccessor. A shard that
-// goes down in its Get share has already answered its writes, and one that
-// goes down in its Successor share its writes and Gets; those replies
-// stand.
+// presence is unknowable); ops on healthy shards are unaffected. A
+// Successor fails only when a shard it had to ask is down, as in
+// cluster.TrySuccessor: its key's owner, or, when the owner cannot answer
+// alone, any shard. A shard that goes down in its Get share has already
+// answered its writes, and one that goes down in its Successor share its
+// writes and Gets; those replies stand.
 type ClusterFrontend[K cmp.Ordered, V any] struct {
 	collector[K, V]
 	cb clusterBackend[K, V]
@@ -258,15 +262,15 @@ func (b *clusterBackend[K, V]) flushSink() trace.FlushSink {
 // share; the Successors are answered here once TryFlush returns.
 // Writes-before-reads needs no cross-shard barrier: each shard runs the
 // flush's Upsert, Delete, Get and Successor shares back to back, shards own
-// disjoint keys, and a shard's Successor partial reads only that shard — so
-// the broadcast's merged answer reflects every write of the flush.
+// disjoint keys, and a shard's Successor share reads only that shard — so
+// every Successor answer reflects every write of the flush.
 //
-// Error semantics are per key where the cluster's are (point ops on a down
-// shard fail with that shard's error; a superseded write chain whose final
-// write landed on a down shard fails whole, since the key's presence is
-// unknowable) and per flush where they are not (gate errors, Successor
-// broadcasts). A shard that fails its Successor share has already answered
-// its writes and Gets; those replies stand.
+// Error semantics are the cluster's, per key (point ops on a down shard
+// fail with that shard's error; a superseded write chain whose final write
+// landed on a down shard fails whole, since the key's presence is
+// unknowable; a Successor fails when a shard it had to ask is down), except
+// for gate errors, which fail the flush. A shard that fails its Successor
+// share has already answered its writes and Gets; those replies stand.
 func (b *clusterBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) int {
 	fl := &b.fl
 	fl.UpsertKeys, fl.UpsertVals, fl.DeleteKeys = ws.ukeys, ws.uvals, ws.dkeys
@@ -282,7 +286,7 @@ func (b *clusterBackend[K, V]) flush(ws *flushWS[K, V], batch []*future[K, V]) i
 	}
 	errs := int(b.errs.Load())
 	for i, fu := range ws.sfut {
-		if fl.SuccErrs != nil && fl.SuccErrs[i] != nil { // all-or-nothing broadcast
+		if fl.SuccErrs != nil && fl.SuccErrs[i] != nil {
 			fu.err = fl.SuccErrs[i]
 			errs++
 		} else {

@@ -136,15 +136,153 @@ func TestClusterFlushWriteCoalescing(t *testing.T) {
 	}
 }
 
-// keysOn returns n distinct keys ≥ from that c routes to shard s.
-func keysOn(c *cluster.Cluster[uint64, int64], s, n int, from uint64) []uint64 {
+// The spread: loadSpread upserts spreadN keys, the multiples of
+// spreadStride from spreadStride on, each with value key·10. An empty
+// cluster routes every key to shard 0 until its first Upsert sets the
+// splitters, so tests load the spread before they pick per-shard keys.
+const spreadStride, spreadN = 100, 640
+
+// loadSpread loads the spread into c and returns the pairs it holds.
+func loadSpread(t *testing.T, c *cluster.Cluster[uint64, int64]) map[uint64]int64 {
+	t.Helper()
+	keys, vals := make([]uint64, spreadN), make([]int64, spreadN)
+	state := make(map[uint64]int64, spreadN)
+	for i := range keys {
+		k := uint64(i+1) * spreadStride
+		keys[i], vals[i], state[k] = k, int64(k)*10, int64(k)*10
+	}
+	if _, errs, _, err := c.TryUpsert(keys, vals); err != nil || errs != nil {
+		t.Fatalf("loading the spread: %v %v", errs, err)
+	}
+	return state
+}
+
+// loadClientGaps makes c's first Upsert, which sets its splitters: one key
+// just above the sentinel of each of clients shardClient clients. No client
+// reads or writes there (a client's Successors stop at its sentinel), and
+// the splitters these keys set fall between the clients' key ranges,
+// spreading the clients over the shards. An empty cluster's first flush
+// would instead hold the few sentinels that arrived first. The batch is
+// small, so a kill plan's early round lands in client traffic.
+func loadClientGaps(t *testing.T, c *cluster.Cluster[uint64, int64], clients int) {
+	t.Helper()
+	keys, vals := make([]uint64, clients), make([]int64, clients)
+	for cl := range keys {
+		keys[cl], vals[cl] = uint64(cl+1)<<32+clientSpan+2, -2
+	}
+	if _, errs, _, err := c.TryUpsert(keys, vals); err != nil || errs != nil {
+		t.Fatalf("loading the client gaps: %v %v", errs, err)
+	}
+}
+
+// pointCounts counts, per shard, the point sub-batches (Upsert, Delete,
+// Get) each shard starts; its sink method is a cluster.Config.Trace.
+type pointCounts struct {
+	mu sync.Mutex
+	n  []*atomic.Int64
+}
+
+func (p *pointCounts) sink(s int) trace.Sink {
+	return pointSink{n: p.counter(s)}
+}
+
+func (p *pointCounts) counter(s int) *atomic.Int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.n) <= s {
+		p.n = append(p.n, new(atomic.Int64))
+	}
+	return p.n[s]
+}
+
+// snapshot returns the counts of shards 0..n−1.
+func (p *pointCounts) snapshot(n int) []int64 {
+	out := make([]int64, n)
+	for s := range out {
+		out[s] = p.counter(s).Load()
+	}
+	return out
+}
+
+// requireAllShards fails the test unless each of the first len(before)
+// shards started a point sub-batch since before was taken.
+func (p *pointCounts) requireAllShards(t *testing.T, before []int64) {
+	t.Helper()
+	after := p.snapshot(len(before))
+	for s := range before {
+		if after[s] == before[s] {
+			t.Fatalf("shard %d served no client point op: point sub-batches per shard %v -> %v", s, before, after)
+		}
+	}
+}
+
+// pointSink is one shard's pointCounts sink.
+type pointSink struct {
+	nopSink
+	n *atomic.Int64
+}
+
+func (p pointSink) BatchStart(op string, _ int) {
+	if strings.HasSuffix(op, "/upsert") || strings.HasSuffix(op, "/delete") || strings.HasSuffix(op, "/get") {
+		p.n.Add(1)
+	}
+}
+
+// keySearch bounds keysOn's search.
+const keySearch = 1 << 20
+
+// keysOn returns n distinct keys from `from` up that c routes to shard s,
+// skipping the spread's keys, so each is absent until the test writes it.
+// It fails the test if fewer than n of the keySearch keys from `from` do.
+func keysOn(t *testing.T, c *cluster.Cluster[uint64, int64], s, n int, from uint64) []uint64 {
+	t.Helper()
 	var ks []uint64
 	for k := from; len(ks) < n; k++ {
-		if c.ShardFor(k) == s {
+		if k-from == keySearch {
+			t.Fatalf("fewer than %d keys in [%d, %d) route to shard %d", n, from, from+keySearch, s)
+		}
+		if k%spreadStride != 0 && c.ShardFor(k) == s {
 			ks = append(ks, k)
 		}
 	}
 	return ks
+}
+
+// shardFences returns the keys up to the spread's end where the owning
+// shard changes: a Successor just below one misses when its shard holds no
+// key between it and the fence.
+func shardFences(c *cluster.Cluster[uint64, int64]) []uint64 {
+	var fences []uint64
+	for x := uint64(1); x <= spreadN*spreadStride; x++ {
+		if c.ShardFor(x) != c.ShardFor(x-1) {
+			fences = append(fences, x)
+		}
+	}
+	return fences
+}
+
+// succIn returns the smallest key ≥ q in state and its value.
+func succIn(state map[uint64]int64, q uint64) (found bool, key uint64, val int64) {
+	for k, v := range state {
+		if k >= q && (!found || k < key) {
+			found, key, val = true, k, v
+		}
+	}
+	return found, key, val
+}
+
+// succMiss reports whether Successor(q), whose exact answer is (found,
+// key), is a miss on c: whether the owner of q's slot cannot answer it
+// alone, so the cluster asks every shard. The owner holds every key of its
+// run of consecutive slots from q's slot on, so its answer is final when
+// the exact answer lies in that run or the run reaches the last slot. c
+// must hold all Slots−1 splitters, as loading the spread sets them.
+func succMiss(c *cluster.Cluster[uint64, int64], q uint64, found bool, key uint64) bool {
+	owner, e := c.ShardFor(q), c.SlotOf(q)
+	for e+1 < c.Slots() && c.ShardOfSlot(e+1) == owner {
+		e++
+	}
+	return e < c.Slots()-1 && !(found && c.SlotOf(key) <= e)
 }
 
 // nopSink is a trace.Sink that ignores every event; test sinks embed it.
@@ -175,12 +313,13 @@ func (g *gateSink) BatchStart(op string, _ int) {
 
 // TestClusterFrontendPointRepliesBeforeSuccessor: a cluster flush answers
 // each shard's writes and Gets from that shard's goroutine before the
-// shard's Successor share, so no point reply waits for the broadcast. Every
-// shard's Successor share is held at its BatchStart; while all of them are
-// held, an Upsert, a Delete and Gets routed to every shard have their exact
-// replies — including those of the last shard, which the flushing goroutine
-// drives inline — and the Successor and the flush itself are still waiting.
-// Once released, the Successor's reply is exact too.
+// shard's Successor share, so no point reply waits for a Successor. Every
+// shard gets a Successor routed to it, and every shard's Successor share is
+// held at its BatchStart; while all of them are held, an Upsert, a Delete
+// and Gets routed to every shard have their exact replies — including those
+// of the last shard, which the flushing goroutine drives inline — and the
+// Successors and the flush itself are still waiting. Once released, the
+// Successors' replies are exact too, the flush's writes included.
 func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
 	const nShards = 3
 	held := make(chan int, nShards)
@@ -194,12 +333,13 @@ func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
 
 	// Per shard: a seeded key to Get; shard 0 also a seeded key to Delete,
 	// and the inline shard a fresh key to Upsert.
+	state := loadSpread(t, c)
 	inline := nShards - 1
 	var gkeys []uint64
 	for s := 0; s < nShards; s++ {
-		gkeys = append(gkeys, keysOn(c, s, 1, 1000)[0])
+		gkeys = append(gkeys, keysOn(t, c, s, 1, 1)[0])
 	}
-	dkey, ukey := keysOn(c, 0, 2, 1000)[1], keysOn(c, inline, 2, 1000)[1]
+	dkey, ukey := keysOn(t, c, 0, 2, 1)[1], keysOn(t, c, inline, 2, 1)[1]
 	seed := append(slices.Clone(gkeys), dkey)
 	vals := make([]int64, len(seed))
 	for i, k := range seed {
@@ -210,14 +350,23 @@ func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
 	}
 	f := stoppedClusterFrontend(t, c, ClusterConfig{})
 
-	sk := min(slices.Min(seed), ukey) - 1 // the Successor's answer is the smallest key left
-	succ := fut(opSucc, sk, 0)
+	// A Successor on every shard: at each Get key, at the deleted key and at
+	// the upserted one, so the replies show the flush's writes.
+	for i, k := range seed {
+		state[k] = vals[i]
+	}
+	delete(state, dkey)
+	state[ukey] = 7
+	var succs []*future[uint64, int64]
+	for _, k := range append(slices.Clone(gkeys), dkey, ukey) {
+		succs = append(succs, fut(opSucc, k, 0))
+	}
 	ups, del := fut(opUpsert, ukey, 7), fut(opDelete, dkey, 0)
 	gets := []*future[uint64, int64]{fut(opGet, ukey, 0), fut(opGet, dkey, 0)}
 	for _, k := range gkeys {
 		gets = append(gets, fut(opGet, k, 0))
 	}
-	batch := append([]*future[uint64, int64]{succ, ups, del}, gets...)
+	batch := append(append(slices.Clone(succs), ups, del), gets...)
 	flushed := make(chan struct{})
 	go func() {
 		defer close(flushed)
@@ -267,8 +416,10 @@ func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
 			t.Errorf("Get(%d) on shard %d = (%v, %d), want (true, %d)", k, i, fu.found, fu.rval, int64(k)*10)
 		}
 	}
-	if ready(succ) {
-		t.Fatal("Successor answered while every shard's Successor share is held")
+	for _, fu := range succs {
+		if ready(fu) {
+			t.Fatalf("Successor(%d) answered while every shard's Successor share is held", fu.key)
+		}
 	}
 	select {
 	case <-flushed:
@@ -282,9 +433,11 @@ func TestClusterFrontendPointRepliesBeforeSuccessor(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("flush never returned after release")
 	}
-	want := min(slices.Min(gkeys), ukey) // dkey was deleted
-	if found, k, v := reap(t, succ); !found || k != want || (k == ukey && v != 7) || (k != ukey && v != int64(k)*10) {
-		t.Fatalf("Successor(%d) = (%v, %d, %d), want key %d", sk, found, k, v, want)
+	for _, fu := range succs {
+		wf, wk, wv := succIn(state, fu.key)
+		if found, k, v := reap(t, fu); found != wf || k != wk || v != wv {
+			t.Fatalf("Successor(%d) = (%v, %d, %d), want (%v, %d, %d)", fu.key, found, k, v, wf, wk, wv)
+		}
 	}
 	if st := f.Stats(); st.Ops != int64(len(batch)) || st.Errors != 0 {
 		t.Fatalf("stats = %+v, want Ops %d Errors 0", st, len(batch))
@@ -313,30 +466,37 @@ func (s *roundSink) RoundEnd(trace.RoundStat) { s.rounds++ }
 // TestFrontendFlushErrorGranularity. With recovery disabled, one shard is
 // killed at the first round of its Get share, or of its Successor share;
 // the round is counted on a fault-free twin cluster that runs the same
-// flush. A Successor kill fails only the flush's Successors (all or
-// nothing); a Get kill fails that shard's Gets and every Successor. Every
-// other op — the victim's writes, answered before its Get share, and every
-// op of the other shards — keeps its exact reply, answered once: an early
-// reply is never retracted.
+// flush. A Successor kill fails the Successors that had to ask the victim:
+// those routed to it, and the misses, which ask every shard. A Get kill
+// fails those and the victim's Gets. Every other op — the victim's writes,
+// answered before its Get share, each other shard's ops, and the
+// Successors its owner answered alone — keeps its exact reply, answered
+// once: an early reply is never retracted.
 func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
 	const nShards, victim = 3, 1
-	// flushOn builds a cluster, seeds per shard a key to Delete and one to
-	// Get, calls mark, and flushes through a stopped frontend per shard an
-	// Upsert of a fresh key, that Delete and that Get, plus Successor(0).
-	// It returns the answered ops and the Successor's exact answer.
+	// flushOn builds a cluster, loads the spread, seeds per shard a key to
+	// Delete and one to Get, calls mark, and flushes through a stopped
+	// frontend per shard an Upsert of a fresh key, that Delete and that
+	// Get, and Successors at that Get key and just below each shard fence.
+	// It returns the answered ops and the pairs the flush leaves.
 	type flushed struct {
-		c    *cluster.Cluster[uint64, int64]
-		f    *ClusterFrontend[uint64, int64]
-		ops  []*future[uint64, int64]
-		succ uint64
+		c     *cluster.Cluster[uint64, int64]
+		f     *ClusterFrontend[uint64, int64]
+		ops   []*future[uint64, int64]
+		state map[uint64]int64
+	}
+	missed := func(r flushed, q uint64) bool {
+		found, k, _ := succIn(r.state, q)
+		return succMiss(r.c, q, found, k)
 	}
 	flushOn := func(t *testing.T, mark func(), opts ...func(*cluster.Config)) flushed {
 		t.Helper()
 		c := newTestCluster(t, nShards, opts...)
-		var seed, gkeys []uint64
+		state := loadSpread(t, c)
+		var seed, gkeys, ukeys []uint64
 		for s := 0; s < nShards; s++ {
-			ks := keysOn(c, s, 2, 100)
-			seed, gkeys = append(seed, ks...), append(gkeys, ks[1])
+			ks := keysOn(t, c, s, 3, 1)
+			seed, gkeys, ukeys = append(seed, ks[:2]...), append(gkeys, ks[1]), append(ukeys, ks[2])
 		}
 		vals := make([]int64, len(seed))
 		for i, k := range seed {
@@ -345,17 +505,27 @@ func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
 		if _, errs, _, err := c.TryUpsert(seed, vals); err != nil || errs != nil {
 			t.Fatalf("seed: %v %v", errs, err)
 		}
+		for i, k := range seed {
+			state[k] = vals[i]
+		}
 		var ops []*future[uint64, int64]
 		for s := 0; s < nShards; s++ {
-			ops = append(ops, fut(opUpsert, keysOn(c, s, 1, 10_000)[0], int64(s)))
+			ops = append(ops, fut(opUpsert, ukeys[s], int64(ukeys[s])*10))
+			state[ukeys[s]] = int64(ukeys[s]) * 10
 		}
 		for s := 0; s < nShards; s++ {
 			ops = append(ops, fut(opDelete, seed[2*s], 0))
+			delete(state, seed[2*s])
 		}
 		for s := 0; s < nShards; s++ {
 			ops = append(ops, fut(opGet, gkeys[s], 0))
 		}
-		ops = append(ops, fut(opSucc, 0, 0))
+		for _, k := range gkeys {
+			ops = append(ops, fut(opSucc, k, 0))
+		}
+		for _, x := range shardFences(c) {
+			ops = append(ops, fut(opSucc, x-1, 0))
+		}
 		f := stoppedClusterFrontend(t, c, ClusterConfig{})
 		mark()
 		// A future answered twice would block the flush on its one-slot
@@ -370,11 +540,12 @@ func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("flush never returned (a future answered twice?)")
 		}
-		return flushed{c, f, ops, slices.Min(gkeys)}
+		return flushed{c, f, ops, state}
 	}
 	// check holds every op to its reply: ErrShardDown where failed says so,
-	// else the exact reply; and each future answered exactly once.
-	check := func(t *testing.T, r flushed, failed func(*future[uint64, int64]) bool) {
+	// else the exact reply; and each future answered exactly once. It
+	// returns the number of Successors that missed.
+	check := func(t *testing.T, r flushed, failed func(*future[uint64, int64]) bool) (misses int) {
 		t.Helper()
 		errs := 0
 		for _, fu := range r.ops {
@@ -400,18 +571,22 @@ func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
 						t.Errorf("Get(%d) = (%v, %d), want (true, %d)", fu.key, found, v, int64(fu.key)*10)
 					}
 				case opSucc:
-					if !found || k != r.succ || v != int64(r.succ)*10 {
-						t.Errorf("Successor(0) = (%v, %d, %d), want (true, %d, %d)", found, k, v, r.succ, int64(r.succ)*10)
+					if wf, wk, wv := succIn(r.state, fu.key); found != wf || k != wk || v != wv {
+						t.Errorf("Successor(%d) = (%v, %d, %d), want (%v, %d, %d)", fu.key, found, k, v, wf, wk, wv)
 					}
 				}
 			}
 			if len(fu.ready) != 0 {
 				t.Fatalf("op (kind %d key %d) answered twice", fu.kind, fu.key)
 			}
+			if fu.kind == opSucc && missed(r, fu.key) {
+				misses++
+			}
 		}
 		if st := r.f.Stats(); st.Ops != int64(len(r.ops)) || st.Errors != int64(errs) {
 			t.Fatalf("stats = %+v, want Ops %d Errors %d", st, len(r.ops), errs)
 		}
+		return misses
 	}
 
 	// The fault-free twin: where the victim's Get and Successor shares start,
@@ -425,22 +600,28 @@ func TestClusterFrontendFlushErrorGranularity(t *testing.T) {
 			return nil
 		}
 	})
-	check(t, twin, func(*future[uint64, int64]) bool { return false })
+	if misses := check(t, twin, func(*future[uint64, int64]) bool { return false }); misses == 0 {
+		t.Fatal("twin: no Successor missed; the fence queries prove nothing")
+	}
 	tag := "s" + strconv.Itoa(victim) + "/"
 	getAt, succAt := sink.first[tag+"get"], sink.first[tag+"successor"]
 	if getAt == 0 || succAt <= getAt {
 		t.Fatalf("twin: victim's Get share starts at round %d, Successor share at %d", getAt, succAt)
 	}
 
+	// A Successor had to ask the victim when it routes there or misses.
+	askedVictim := func(fu *future[uint64, int64]) bool {
+		return fu.kind == opSucc && (twin.c.ShardFor(fu.key) == victim || missed(twin, fu.key))
+	}
 	cases := []struct {
 		name   string
 		killAt int64
 		failed func(*future[uint64, int64]) bool
 	}{
 		{"get", getAt, func(fu *future[uint64, int64]) bool {
-			return fu.kind == opSucc || (fu.kind == opGet && twin.c.ShardFor(fu.key) == victim)
+			return askedVictim(fu) || (fu.kind == opGet && twin.c.ShardFor(fu.key) == victim)
 		}},
-		{"successor", succAt, func(fu *future[uint64, int64]) bool { return fu.kind == opSucc }},
+		{"successor", succAt, askedVictim},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -483,16 +664,20 @@ func TestClusterFrontendBasic(t *testing.T) {
 
 // TestClusterFrontendConcurrentOracle: the per-client oracle workload of
 // TestFrontendConcurrentOracle over a sharded cluster — same pointAPI, same
-// exactness bar, the scatter/gather must not perturb a single reply.
+// exactness bar, the scatter/gather must not perturb a single reply. The
+// client gaps are loaded first, so every shard serves client point ops.
 func TestClusterFrontendConcurrentOracle(t *testing.T) {
 	for _, cfg := range []ClusterConfig{{}, {MaxBatch: 64}, {MaxWait: 200 * time.Microsecond}} {
-		c := newTestCluster(t, 3)
-		f := NewClusterFrontend(c, cfg)
-		var wg sync.WaitGroup
+		var pc pointCounts
+		c := newTestCluster(t, 3, func(cc *cluster.Config) { cc.Trace = pc.sink })
 		clients, ops := 16, 250
 		if testing.Short() {
 			clients, ops = 4, 60
 		}
+		loadClientGaps(t, c, clients)
+		before := pc.snapshot(3)
+		f := NewClusterFrontend(c, cfg)
+		var wg sync.WaitGroup
 		for cl := 0; cl < clients; cl++ {
 			wg.Add(1)
 			go func(cl int) {
@@ -508,6 +693,7 @@ func TestClusterFrontendConcurrentOracle(t *testing.T) {
 		if st.Ops == 0 || st.Flushes == 0 {
 			t.Fatalf("cfg %+v: collector saw no traffic: %+v", cfg, st)
 		}
+		pc.requireAllShards(t, before)
 	}
 }
 
@@ -575,7 +761,14 @@ func TestClusterFrontendCloseDeterministic(t *testing.T) {
 // client traffic, publishes new routing epochs, and records it all in Stats
 // and the trace stream — while every client reply stays oracle-exact.
 func TestClusterFrontendRebalanceLoop(t *testing.T) {
-	c := newTestCluster(t, 2)
+	var pc pointCounts
+	c := newTestCluster(t, 2, func(cc *cluster.Config) { cc.Trace = pc.sink })
+	clients, ops := 8, 300
+	if testing.Short() {
+		clients, ops = 4, 80
+	}
+	loadClientGaps(t, c, clients)
+	before := pc.snapshot(2)
 	prof := trace.NewProfile()
 	f := NewClusterFrontend(c, ClusterConfig{
 		MaxBatch:       128,
@@ -584,10 +777,6 @@ func TestClusterFrontendRebalanceLoop(t *testing.T) {
 		Trace:          prof,
 	})
 	var wg sync.WaitGroup
-	clients, ops := 8, 300
-	if testing.Short() {
-		clients, ops = 4, 80
-	}
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
@@ -628,6 +817,7 @@ func TestClusterFrontendRebalanceLoop(t *testing.T) {
 	if rt.Epoch == 0 {
 		t.Fatalf("trace totals missed the epoch: %+v", rt)
 	}
+	pc.requireAllShards(t, before)
 	// The frontend is closed: the cluster is free for a direct audit.
 	if _, errs, _, err := c.TryGet([]uint64{1}); err != nil || errs != nil {
 		t.Fatalf("cluster unusable after frontend Close: %v %v", errs, err)
@@ -661,25 +851,17 @@ func TestClusterFrontendFlushTrace(t *testing.T) {
 // TestClusterFrontendDegraded: ops routed to a permanently down shard fail
 // per key with cluster.ErrShardDown — including every op of a superseded
 // write chain whose final write landed there — while keys on healthy shards
-// keep serving exactly, and Successor (an all-shard broadcast) fails whole.
+// keep serving exactly. A Successor fails the same way when it had to ask
+// the down shard: when it routes there, or when it misses and asks every
+// shard; the others answer exactly.
 func TestClusterFrontendDegraded(t *testing.T) {
 	c := newTestCluster(t, 3)
 	const victim = 1
+	state := loadSpread(t, c)
 	if err := c.StopShard(victim); err != nil {
 		t.Fatalf("StopShard: %v", err)
 	}
-	// Find keys on the dead shard and on a live shard.
-	var deadKey, liveKey uint64
-	var haveDead, haveLive bool
-	for k := uint64(0); !(haveDead && haveLive); k++ {
-		if c.ShardFor(k) == victim {
-			if !haveDead {
-				deadKey, haveDead = k, true
-			}
-		} else if !haveLive {
-			liveKey, haveLive = k, true
-		}
-	}
+	deadKey, liveKey := keysOn(t, c, victim, 1, 1)[0], keysOn(t, c, 0, 1, 1)[0]
 	f := NewClusterFrontend(c, ClusterConfig{})
 	defer f.Close()
 
@@ -695,8 +877,29 @@ func TestClusterFrontendDegraded(t *testing.T) {
 	if res, err := f.Get(liveKey); err != nil || !res.Found || res.Value != 7 {
 		t.Fatalf("live Get = (%+v, %v)", res, err)
 	}
-	if _, err := f.Successor(0); !errors.Is(err, cluster.ErrShardDown) {
-		t.Fatalf("Successor with a down shard: err = %v, want ErrShardDown", err)
+	state[liveKey] = 7
+	qs := []uint64{0, liveKey, deadKey}
+	for _, x := range shardFences(c) {
+		qs = append(qs, x-1, x)
+	}
+	var failed, misses int
+	for _, q := range qs {
+		wf, wk, wv := succIn(state, q)
+		res, err := f.Successor(q)
+		if miss := succMiss(c, q, wf, wk); miss || c.ShardFor(q) == victim {
+			failed++
+			if miss {
+				misses++
+			}
+			if !errors.Is(err, cluster.ErrShardDown) {
+				t.Fatalf("Successor(%d) (shard %d, miss %v) = (%+v, %v), want ErrShardDown", q, c.ShardFor(q), miss, res, err)
+			}
+		} else if err != nil || res.Found != wf || res.Key != wk || res.Value != wv {
+			t.Fatalf("Successor(%d) (shard %d) = (%+v, %v), want (%v, %d, %d)", q, c.ShardFor(q), res, err, wf, wk, wv)
+		}
+	}
+	if misses == 0 || failed == misses || failed == len(qs) {
+		t.Fatalf("%d of %d Successors failed, %d of them misses; want routed and missed failures and served queries", failed, len(qs), misses)
 	}
 
 	// A whole chain on the dead shard fails: drive a flush by hand so two
@@ -770,6 +973,7 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 				plans[1] = pim.KillPlan(40, plans[1])
 				plans[2] = pim.KillPlan(600, plans[2])
 			}
+			var pc pointCounts
 			c := newTestCluster(t, nShards, func(cfg *cluster.Config) {
 				cfg.Seed = 0xC10C ^ uint64(len(tc.name))
 				cfg.Faults = plans
@@ -778,7 +982,14 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 				// through machine deaths.
 				cfg.MaxRecoveries = -1
 				cfg.CompactEvery = 16
+				cfg.Trace = pc.sink
 			})
+			const clients, ops = 16, 250
+			loadClientGaps(t, c, clients)
+			if k := c.ShardStats(1).Kills; k != 0 {
+				t.Fatalf("shard 1 killed %d times while loading the client gaps; its kill must land in client traffic", k)
+			}
+			before := pc.snapshot(nShards)
 			prof := trace.NewProfile()
 			f := NewClusterFrontend(c, ClusterConfig{
 				MaxBatch:       128,
@@ -787,7 +998,6 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 				Trace:          prof,
 			})
 			var wg sync.WaitGroup
-			const clients, ops = 16, 250
 			for cl := 0; cl < clients; cl++ {
 				wg.Add(1)
 				go func(cl int) {
@@ -809,14 +1019,9 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 			if st.Windows == 0 {
 				t.Fatalf("control loop never consumed a window: %+v", st)
 			}
-			if tc.kill {
-				killed := int64(0)
-				for s := 0; s < nShards; s++ {
-					killed += c.ShardStats(s).Kills
-				}
-				if killed == 0 {
-					t.Fatalf("kill plans never fired")
-				}
+			pc.requireAllShards(t, before)
+			if tc.kill && c.ShardStats(1).Kills == 0 {
+				t.Fatalf("shard 1's early kill never fired")
 			}
 			// Fault plans must actually have fired (summed across shards).
 			if tc.name != "none" && tc.name != "none+kill" {

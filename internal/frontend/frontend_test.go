@@ -331,13 +331,17 @@ type pointAPI interface {
 	Successor(uint64) (core.SearchResult[uint64, int64], error)
 }
 
+// clientSpan is the width of each shardClient's key range; its sentinel
+// sits just above it.
+const clientSpan = 1 << 10
+
 // shardClient runs one client's deterministic workload against its private
 // key shard and checks every reply against a private seqlist oracle. Shards
 // are disjoint and each keeps a never-deleted sentinel top key, so each
 // client's reply stream is independent of how flushes interleave clients.
 func shardClient(t *testing.T, f pointAPI, client, ops int) {
 	base := uint64(client+1) << 32
-	const span = 1 << 10
+	const span = clientSpan
 	sentinel := base + span + 1
 	oracle := seqlist.New[uint64, int64](uint64(client) * 31)
 

@@ -345,14 +345,21 @@ var (
 
 // Cluster shards one logical ordered map across N fault-isolated Map
 // shards, each on its own simulated machine with its own fault plan and
-// trace sink, behind a deterministic hash router. Batches scatter by
-// shard, execute shards in parallel, and gather replies into submission
-// order — bit-identical to a single Map. Killed shards are rebuilt
-// exactly-once from a journal, or degrade to typed per-key ErrShardDown
-// errors. Live rebalancing (SplitShard, MergeShards, and the policy-driven
-// Rebalance) moves routing slots between shards online through an
-// epoch-versioned routing table, with replies bit-identical to a single
-// Map across every cutover. See docs/CLUSTER.md and docs/REBALANCE.md.
+// trace sink, behind a deterministic order-preserving router: a key's
+// routing slot is its rank among splitter keys taken from the first
+// Upsert into the empty cluster, so each shard owns key ranges and a
+// Successor asks the shard that owns its key (every shard only when that
+// shard cannot answer alone). Load a new cluster with a first batch that
+// samples the whole key range: a load in key order or a small first batch
+// puts most keys on one shard until splits re-cut the splitters from its
+// data (ClusterConfig.Slots). Batches scatter by shard, execute shards in
+// parallel, and gather replies into submission order — bit-identical to a
+// single Map. Killed shards are rebuilt exactly-once from a journal, or
+// degrade to typed per-key ErrShardDown errors. Live rebalancing
+// (SplitShard, MergeShards, and the policy-driven Rebalance) moves routing
+// slots between shards online through an epoch-versioned routing table,
+// with replies bit-identical to a single Map across every cutover. See
+// docs/CLUSTER.md and docs/REBALANCE.md.
 type Cluster[K cmp.Ordered, V any] = cluster.Cluster[K, V]
 
 // ClusterConfig configures a Cluster (shard count, template shard Config,
@@ -371,7 +378,7 @@ type ClusterStats = cluster.Stats
 // flushes. Replies and per-key errors equal those of TryUpsert, TryDelete,
 // TryGet and TrySuccessor called in that order. An optional OnShard hook
 // hands over each shard's point results from the shard's goroutine, before
-// that shard's share of the Successor broadcast.
+// that shard's Successor share (the Successors routed to it).
 type ClusterFlush[K cmp.Ordered, V any] = cluster.Flush[K, V]
 
 // ClusterShardStats is one shard's health and cost summary (state, journal
@@ -390,8 +397,10 @@ const (
 	ShardRetired  = cluster.ShardRetired
 )
 
-// NewCluster builds a sharded cluster per cfg; hash is shared by the
-// router and every shard.
+// NewCluster builds an empty sharded cluster per cfg; hash spreads each
+// shard's keys over its modules (routing across shards uses key order). Its
+// first Upsert sets the routing splitters, so make it a batch that samples
+// the whole key range (see Cluster and ClusterConfig.Slots).
 func NewCluster[K cmp.Ordered, V any](cfg ClusterConfig, hash func(K) uint64) (*Cluster[K, V], error) {
 	return cluster.New[K, V](cfg, hash)
 }
